@@ -8,6 +8,7 @@ constraint, so callers can log and keep going.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from datetime import date
 
@@ -167,6 +168,8 @@ class Bound:
     def check(self, field_name: str, value: float) -> Rejection | None:
         if value != value:  # NaN
             return Rejection(field_name, value, "not a number")
+        if math.isinf(value):
+            return Rejection(field_name, value, "not finite")
         if self.lo is not None and value < self.lo:
             return Rejection(field_name, value, f"below lower bound {self.lo}")
         if self.hi is not None and value > self.hi:

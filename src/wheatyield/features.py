@@ -67,6 +67,16 @@ def feature_names(mode: str, params: FeatureParams = DEFAULT_FEATURE_PARAMS) -> 
     raise ValueError(f"unknown mode: {mode!r}")
 
 
+def soil_feature_values(soil: SoilRecord, ordinals: OrdinalSpec | None = None) -> dict[str, float]:
+    """Numeric soil features: the four measurements as given, then the
+    ordinal fields as 0-based ranks."""
+    spec = ordinals or OrdinalSpec()
+    out = {name: float(getattr(soil, name)) for name in SOIL_FEATURES}
+    for name in SOIL_ORDINALS:
+        out[name] = float(spec.encode(name, getattr(soil, name)))
+    return out
+
+
 def assign_weeks(
     days: list[WeatherDaily], sowing_date: date
 ) -> dict[int, list[WeatherDaily]]:
@@ -130,11 +140,7 @@ def build_instance(
     In soil_weather mode every week in the growth window must be present;
     otherwise an :class:`InstanceRejection` names the missing weeks.
     """
-    spec = ordinals or OrdinalSpec()
-    soil_features = {name: float(getattr(soil, name)) for name in SOIL_FEATURES}
-    for name in SOIL_ORDINALS:
-        soil_features[name] = float(spec.encode(name, getattr(soil, name)))
-
+    soil_features = soil_feature_values(soil, ordinals)
     weather_features: dict[str, float] = {}
     if mode == MODE_SOIL_WEATHER:
         missing = tuple(w for w in params.weeks() if w not in weeks)

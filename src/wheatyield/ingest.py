@@ -14,6 +14,10 @@ Schemas:
 Dates are ISO-8601 (YYYY-MM-DD). Duplicates resolve keep-first in file
 order. Crop rows whose crop column is not winter_wheat (case-insensitive)
 are logged as filtered, which is distinct from rejected.
+
+The ``write_*_csv`` functions emit the same schemas with floats as their
+shortest round-trip text; they are the only CSV writers for these files,
+so the generator's output and a cleaned copy of it are byte-identical.
 """
 
 from __future__ import annotations

@@ -139,30 +139,6 @@ def train_on_matrix(kind: str, matrix: DesignMatrix, params: ModelParams, n_jobs
     return train(kind, matrix.rows, matrix.target, params, matrix.column_names, n_jobs=n_jobs)
 
 
-def train_decision_tree(X, y, params: ModelParams, column_names=None) -> TrainedModel:
-    return train("decision_tree", X, y, params, column_names)
-
-
-def train_linear_svr(X, y, params: ModelParams, column_names=None) -> TrainedModel:
-    return train("svr", X, y, params, column_names)
-
-
-def train_random_forest(X, y, params: ModelParams, column_names=None, n_jobs: int = 1) -> TrainedModel:
-    return train("random_forest", X, y, params, column_names, n_jobs=n_jobs)
-
-
-def train_extra_trees(X, y, params: ModelParams, column_names=None, n_jobs: int = 1) -> TrainedModel:
-    return train("extra_trees", X, y, params, column_names, n_jobs=n_jobs)
-
-
-def train_gradient_boosting(X, y, params: ModelParams, column_names=None) -> TrainedModel:
-    return train("gradient_boosting", X, y, params, column_names)
-
-
-def train_hist_gradient_boosting(X, y, params: ModelParams, column_names=None) -> TrainedModel:
-    return train("hist_gradient_boosting", X, y, params, column_names)
-
-
 def predict(
     model: TrainedModel,
     X: np.ndarray | DesignMatrix,
@@ -245,12 +221,6 @@ __all__ = [
     "LinearSVR",
     "train",
     "train_on_matrix",
-    "train_decision_tree",
-    "train_linear_svr",
-    "train_random_forest",
-    "train_extra_trees",
-    "train_gradient_boosting",
-    "train_hist_gradient_boosting",
     "predict",
     "save_model",
     "load_model",

@@ -9,8 +9,8 @@ until max_leaves is reached or no leaf can improve. Histograms are built
 per node with one vectorized bincount over all features, so each tree
 level costs one pass over the node's rows.
 
-Fitted trees store real-valued thresholds, so prediction and serialization
-reuse the plain CART machinery.
+Fitted trees store real-valued thresholds, so the boosting loop,
+prediction and serialization are those of :class:`boosting.Boosting`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boosting import Boosting, RoundGrower
 from .tree import TreeNodes, _Growth, derived_rng, subsample_rows
 
 
@@ -190,66 +191,31 @@ class _HistTreeBuilder:
         return growth.finish()
 
 
-class HistGradientBoosting:
+class HistGradientBoosting(Boosting):
     """Gradient boosting over binned features with leaf-wise trees."""
 
     kind = "hist_gradient_boosting"
 
-    def __init__(self, params):
-        self.params = params
-        self.base_value = 0.0
-        self.trees: list[TreeNodes] = []
-        self.train_mse_path_: list[float] = []
-
-    def fit(self, X: np.ndarray, y: np.ndarray, n_jobs: int = 1) -> "HistGradientBoosting":
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        n = X.shape[0]
-        if n == 0:
-            raise ValueError("cannot train on an empty matrix")
+    def _round_grower(self, X: np.ndarray) -> RoundGrower:
         p = self.params
         mapper = _BinMapper(p.n_bins).fit(X)
-        binned = mapper.transform(X)
         builder = _HistTreeBuilder(
             X,
-            binned,
+            mapper.transform(X),
             mapper.thresholds,
             p.n_bins,
             max_depth=p.max_depth,
             min_samples_leaf=p.min_samples_leaf,
             max_leaves=p.max_leaves,
         )
-        self.base_value = float(np.mean(y))
-        current = np.full(n, self.base_value)
-        self.trees = []
-        self.train_mse_path_ = [float(np.mean((y - current) ** 2))]
+        n = X.shape[0]
         all_rows = np.arange(n, dtype=np.intp)
-        for m in range(p.n_estimators):
-            residual = y - current
+
+        def grow(residual: np.ndarray, m: int) -> TreeNodes:
             if p.subsample < 1.0:
                 rows = subsample_rows(n, p.subsample, derived_rng(p.seed, m))
             else:
                 rows = all_rows
-            tree = builder.grow(residual, rows)
-            current = current + p.learning_rate * tree.predict(X)
-            self.trees.append(tree)
-            self.train_mse_path_.append(float(np.mean((y - current) ** 2)))
-        return self
+            return builder.grow(residual, rows)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        acc = np.full(X.shape[0], self.base_value)
-        for tree in self.trees:
-            acc += self.params.learning_rate * tree.predict(X)
-        return acc
-
-    def to_state(self) -> dict:
-        return {
-            "base_value": self.base_value,
-            "learning_rate": self.params.learning_rate,
-            "trees": [t.to_state() for t in self.trees],
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.base_value = float(state["base_value"])
-        self.trees = [TreeNodes.from_state(s) for s in state["trees"]]
+        return grow

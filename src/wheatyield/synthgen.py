@@ -19,7 +19,6 @@ so regeneration is byte-identical and independent of evaluation order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
@@ -32,9 +31,10 @@ from .features import (
     DEFAULT_FEATURE_PARAMS,
     FeatureParams,
     assign_weeks,
+    soil_feature_values,
     weekly_aggregate,
 )
-from .ingest import CROP_HEADER, SOIL_HEADER, WEATHER_HEADER, carry_forward_soil
+from .ingest import carry_forward_soil, write_crop_csv, write_soil_csv, write_weather_csv
 
 # rng stream tags
 _ROSTER, _SOIL, _SOW, _WEATHER, _YIELD, _CROP = 1, 2, 3, 4, 5, 6
@@ -200,8 +200,9 @@ def gen_sowing(zone: int, year: int, cfg: GenConfig, seed: int) -> date:
 def gen_weather(zone: int, year: int, cfg: GenConfig, seed: int) -> list[WeatherDaily]:
     """Daily weather from sowing through sowing + 40 weeks for one zone-year.
 
-    Values are rounded to their CSV precision, so in-memory records and a
-    written-then-parsed dataset agree exactly.
+    Values are rounded to one or two decimals, like measured data; the CSV
+    writers are lossless, so in-memory records and a written-then-parsed
+    dataset agree exactly.
     """
     sowing = gen_sowing(zone, year, cfg, seed)
     rng = _rng(seed, _WEATHER, zone, year)
@@ -312,20 +313,6 @@ def soil_tests_for_zone(zone: int, cfg: GenConfig, seed: int) -> list[SoilRecord
     return records
 
 
-def gen_soil(zone: int, cfg: GenConfig, seed: int) -> SoilRecord:
-    """First soil test of the zone's schedule (always a valid record)."""
-    return soil_tests_for_zone(zone, cfg, seed)[0]
-
-
-def soil_feature_values(record: SoilRecord, ordinals: OrdinalSpec | None = None) -> dict[str, float]:
-    """Numeric soil feature dict matching the feature-engineering layout."""
-    spec = ordinals or OrdinalSpec()
-    out = {name: float(getattr(record, name)) for name in ("p", "k", "mg", "ph")}
-    for name in ("soil_type", "stone_content", "organic_matter", "caco3"):
-        out[name] = float(spec.encode(name, getattr(record, name)))
-    return out
-
-
 def weather_response(dd_total: float, ap_total: float, cfg: GenConfig) -> float:
     """Smooth concave response in (0, 1]: product of two Gaussian bumps
     over the growth-window degree-day and precipitation totals."""
@@ -432,39 +419,6 @@ def generate_records(
                 )
             )
     return soil, weather, crops
-
-
-def write_soil_csv(records: list[SoilRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SOIL_HEADER)
-        for r in records:
-            w.writerow(
-                [r.zone_id, r.test_year, f"{r.p:.1f}", f"{r.k:.1f}", f"{r.mg:.1f}",
-                 f"{r.ph:.2f}", r.soil_type, r.stone_content, r.organic_matter, r.caco3]
-            )
-
-
-def write_weather_csv(records: list[WeatherDaily], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(WEATHER_HEADER)
-        for r in records:
-            w.writerow(
-                [r.zone_id, r.date.isoformat(), f"{r.t_min:.1f}", f"{r.t_max:.1f}",
-                 f"{r.precip:.2f}", f"{r.solar:.2f}", f"{r.humidity:.1f}"]
-            )
-
-
-def write_crop_csv(records: list[CropRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CROP_HEADER)
-        for r in records:
-            w.writerow(
-                [r.zone_id, r.year, "winter_wheat", r.sowing_date.isoformat(),
-                 r.harvest_date.isoformat(), f"{r.yield_t_ha:.2f}"]
-            )
 
 
 def gen_dataset(

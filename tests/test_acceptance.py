@@ -36,9 +36,7 @@ from wheatyield.learners import (
     ModelParams,
     best_split,
     predict,
-    train_decision_tree,
-    train_gradient_boosting,
-    train_random_forest,
+    train,
 )
 from wheatyield.synthgen import GenConfig, generate_records
 
@@ -245,9 +243,9 @@ def test_criterion_6_learner_oracles():
     names = [f"x{i}" for i in range(5)]
     params = ModelParams(n_estimators=1, learning_rate=1.0, max_depth=2,
                          min_samples_leaf=1, bootstrap=False, max_features=5, seed=0)
-    cart = train_decision_tree(X, y, params, names)
-    forest = train_random_forest(X, y, params, names)
-    boosted = train_gradient_boosting(X, y, params, names)
+    cart = train("decision_tree", X, y, params, names)
+    forest = train("random_forest", X, y, params, names)
+    boosted = train("gradient_boosting", X, y, params, names)
     assert np.array_equal(predict(forest, X, names), predict(cart, X, names))
     assert np.array_equal(predict(boosted, X, names), predict(cart, X, names))
     ok(6, f"best_split matched enumeration on {checked} split-bearing datasets; "

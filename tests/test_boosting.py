@@ -6,9 +6,7 @@ from wheatyield.learners import (
     load_model,
     predict,
     save_model,
-    train_decision_tree,
-    train_gradient_boosting,
-    train_hist_gradient_boosting,
+    train,
 )
 from wheatyield.learners.histboost import _BinMapper
 
@@ -29,15 +27,15 @@ class TestGradientBoosting:
         X = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
         params = ModelParams(n_estimators=0)
-        model = train_gradient_boosting(X, y, params, ["a", "b"])
+        model = train("gradient_boosting", X, y, params, ["a", "b"])
         assert np.allclose(predict(model, X, ["a", "b"]), y.mean())
 
     def test_one_round_unit_rate_equals_cart(self):
         X, y, names = clustered_dataset()
         params = ModelParams(n_estimators=1, learning_rate=1.0, max_depth=2,
                              min_samples_leaf=1)
-        gb = train_gradient_boosting(X, y, params, names)
-        dt = train_decision_tree(X, y, params, names)
+        gb = train("gradient_boosting", X, y, params, names)
+        dt = train("decision_tree", X, y, params, names)
         assert np.array_equal(predict(gb, X, names), predict(dt, X, names))
 
     def test_one_round_unit_rate_close_on_generic_data(self):
@@ -47,8 +45,8 @@ class TestGradientBoosting:
         names = ["x0", "x1", "x2", "x3"]
         params = ModelParams(n_estimators=1, learning_rate=1.0, max_depth=3,
                              min_samples_leaf=2)
-        gb = train_gradient_boosting(X, y, params, names)
-        dt = train_decision_tree(X, y, params, names)
+        gb = train("gradient_boosting", X, y, params, names)
+        dt = train("decision_tree", X, y, params, names)
         np.testing.assert_allclose(predict(gb, X, names), predict(dt, X, names),
                                    rtol=0, atol=1e-12)
 
@@ -58,7 +56,7 @@ class TestGradientBoosting:
         y = rng.normal(size=60)
         params = ModelParams(n_estimators=40, learning_rate=0.2, max_depth=2,
                              min_samples_leaf=3)
-        model = train_gradient_boosting(X, y, params, ["x%d" % i for i in range(5)])
+        model = train("gradient_boosting", X, y, params, ["x%d" % i for i in range(5)])
         path = model.estimator.train_mse_path_
         assert len(path) == 41
         assert all(a >= b - 1e-12 for a, b in zip(path, path[1:]))
@@ -69,7 +67,7 @@ class TestGradientBoosting:
         y = rng.normal(size=30)
         params = ModelParams(n_estimators=20, learning_rate=1e-9, max_depth=3,
                              min_samples_leaf=1)
-        model = train_gradient_boosting(X, y, params, ["a", "b"])
+        model = train("gradient_boosting", X, y, params, ["a", "b"])
         assert np.allclose(predict(model, X, ["a", "b"]), y.mean(), atol=1e-6)
 
     def test_subsample_deterministic(self):
@@ -79,8 +77,8 @@ class TestGradientBoosting:
         names = ["a", "b", "c"]
         params = ModelParams(n_estimators=15, subsample=0.6, max_depth=2,
                              min_samples_leaf=2, seed=21)
-        a = train_gradient_boosting(X, y, params, names)
-        b = train_gradient_boosting(X, y, params, names)
+        a = train("gradient_boosting", X, y, params, names)
+        b = train("gradient_boosting", X, y, params, names)
         assert np.array_equal(predict(a, X, names), predict(b, X, names))
 
     def test_save_load_round_trip(self, tmp_path):
@@ -89,7 +87,7 @@ class TestGradientBoosting:
         y = rng.normal(size=40)
         names = ["a", "b", "c"]
         params = ModelParams(n_estimators=10, max_depth=2, min_samples_leaf=2)
-        model = train_gradient_boosting(X, y, params, names)
+        model = train("gradient_boosting", X, y, params, names)
         save_model(model, tmp_path / "gb.json")
         loaded = load_model(tmp_path / "gb.json")
         assert np.array_equal(predict(model, X, names), predict(loaded, X, names))
@@ -135,10 +133,9 @@ class TestHistGradientBoosting:
         y = rng.integers(-20, 21, size=20).astype(float)
         names = ["a", "b", "c", "d"]
         shared = dict(n_estimators=12, learning_rate=0.1, max_depth=3, min_samples_leaf=1)
-        hist = train_hist_gradient_boosting(
-            X, y, ModelParams(n_bins=64, max_leaves=64, **shared), names
-        )
-        exact = train_gradient_boosting(X, y, ModelParams(**shared), names)
+        hist = train("hist_gradient_boosting", X, y,
+                     ModelParams(n_bins=64, max_leaves=64, **shared), names)
+        exact = train("gradient_boosting", X, y, ModelParams(**shared), names)
         for ht, et in zip(hist.estimator.trees, exact.estimator.trees):
             assert sorted(zip(ht.feature.tolist(), ht.threshold.tolist())) == sorted(
                 zip(et.feature.tolist(), et.threshold.tolist())
@@ -154,10 +151,9 @@ class TestHistGradientBoosting:
             rng = np.random.default_rng(seed)
             X = rng.integers(0, 12, size=(20, 4)).astype(float)
             y = rng.normal(size=20) * 5
-            hist = train_hist_gradient_boosting(
-                X, y, ModelParams(n_bins=64, max_leaves=64, **shared), names
-            )
-            exact = train_gradient_boosting(X, y, ModelParams(**shared), names)
+            hist = train("hist_gradient_boosting", X, y,
+                         ModelParams(n_bins=64, max_leaves=64, **shared), names)
+            exact = train("gradient_boosting", X, y, ModelParams(**shared), names)
             assert np.array_equal(predict(hist, X, names), predict(exact, X, names))
 
     def test_constant_feature_never_chosen(self):
@@ -165,7 +161,7 @@ class TestHistGradientBoosting:
         X = np.column_stack([np.full(30, 7.0), rng.normal(size=30)])
         y = rng.normal(size=30)
         params = ModelParams(n_estimators=5, max_depth=3, min_samples_leaf=1)
-        model = train_hist_gradient_boosting(X, y, params, ["const", "x"])
+        model = train("hist_gradient_boosting", X, y, params, ["const", "x"])
         for tree in model.estimator.trees:
             assert not (tree.feature == 0).any()
 
@@ -175,7 +171,7 @@ class TestHistGradientBoosting:
         y = rng.normal(size=200)
         params = ModelParams(n_estimators=3, max_depth=None, max_leaves=8,
                              min_samples_leaf=1)
-        model = train_hist_gradient_boosting(X, y, params, ["a", "b", "c"])
+        model = train("hist_gradient_boosting", X, y, params, ["a", "b", "c"])
         for tree in model.estimator.trees:
             assert tree.n_leaves <= 8
 
@@ -186,8 +182,8 @@ class TestHistGradientBoosting:
         names = ["a", "b", "c", "d"]
         params = ModelParams(n_estimators=8, subsample=0.7, seed=3,
                              min_samples_leaf=2)
-        a = train_hist_gradient_boosting(X, y, params, names)
-        b = train_hist_gradient_boosting(X, y, params, names)
+        a = train("hist_gradient_boosting", X, y, params, names)
+        b = train("hist_gradient_boosting", X, y, params, names)
         assert np.array_equal(predict(a, X, names), predict(b, X, names))
 
     def test_train_mse_non_increasing(self):
@@ -195,7 +191,7 @@ class TestHistGradientBoosting:
         X = rng.normal(size=(80, 4))
         y = rng.normal(size=80)
         params = ModelParams(n_estimators=25, learning_rate=0.2, min_samples_leaf=3)
-        model = train_hist_gradient_boosting(X, y, params, ["a", "b", "c", "d"])
+        model = train("hist_gradient_boosting", X, y, params, ["a", "b", "c", "d"])
         path = model.estimator.train_mse_path_
         assert all(a >= b - 1e-12 for a, b in zip(path, path[1:]))
 
@@ -205,7 +201,7 @@ class TestHistGradientBoosting:
         y = rng.normal(size=50)
         names = ["a", "b", "c"]
         params = ModelParams(n_estimators=6, min_samples_leaf=2)
-        model = train_hist_gradient_boosting(X, y, params, names)
+        model = train("hist_gradient_boosting", X, y, params, names)
         save_model(model, tmp_path / "hgb.json")
         loaded = load_model(tmp_path / "hgb.json")
         assert np.array_equal(predict(model, X, names), predict(loaded, X, names))

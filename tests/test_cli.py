@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from wheatyield.cli import main
 from wheatyield.config import ConfigError, load_config
+from wheatyield.ingest import carry_forward_soil, parse_crop, parse_soil
 
 TINY_CONFIG = """\
 [run]
@@ -126,6 +127,43 @@ class TestCliPipeline:
         assert result.exit_code == 0
         rejections = (workdir / "out" / "rejections.csv").read_text().splitlines()
         assert rejections == ["source,line,reason"]
+
+    def test_ingest_rewrites_synth_files_byte_identically(self, workdir):
+        # synth and ingest share one writer set, so a clean round trip is
+        # the identity on bytes
+        assert run_cli("synth", "--config", "run.ini").exit_code == 0
+        assert run_cli("ingest", "--config", "run.ini").exit_code == 0
+        out = workdir / "out"
+        for name in ("soil", "weather", "crop"):
+            assert (out / f"{name}_clean.csv").read_bytes() == (out / f"{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    @pytest.mark.parametrize("source,column,field", [("soil", 2, "p"), ("weather", 4, "precip")])
+    def test_non_finite_cell_is_rejected_not_fatal(self, workdir, source, column, field, value):
+        run_cli("synth", "--config", "run.ini")
+        out = workdir / "out"
+        crops, _ = parse_crop(out / "crop.csv")
+        if source == "soil":
+            # the test the first crop's zone-year carries forward
+            soil, _ = parse_soil(out / "soil.csv")
+            row = soil.index(carry_forward_soil(soil, crops[0].zone_id, crops[0].year)) + 1
+        else:
+            # a day of the first zone-year inside the growth window (weeks 17..40)
+            row = 1 + 7 * 30
+        path = out / f"{source}.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[column] = value
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+        result = run_cli("features", "--config", "run.ini")
+        assert result.exit_code == 0
+        rejections = (out / "rejections.csv").read_text().splitlines()
+        assert rejections[1:] == [f"out/{source}.csv,{row + 1},{field}={value}: not finite"]
+        if source == "weather":
+            skipped = (out / "skipped_instances.csv").read_text()
+            assert f"{crops[0].zone_id},{crops[0].year},missing weeks [31]" in skipped
 
     def test_features_writes_matrices(self, workdir):
         run_cli("synth", "--config", "run.ini")

@@ -6,9 +6,6 @@ from wheatyield.learners import (
     predict,
     save_model,
     train,
-    train_decision_tree,
-    train_extra_trees,
-    train_random_forest,
 )
 
 
@@ -24,27 +21,27 @@ class TestRandomForest:
         X, y, names = dataset()
         params = ModelParams(n_estimators=1, bootstrap=False, max_features=X.shape[1],
                              max_depth=5, min_samples_leaf=2, seed=3)
-        rf = train_random_forest(X, y, params, names)
-        dt = train_decision_tree(X, y, params, names)
+        rf = train("random_forest", X, y, params, names)
+        dt = train("decision_tree", X, y, params, names)
         assert np.array_equal(predict(rf, X, names), predict(dt, X, names))
 
     def test_same_seed_identical_predictions(self):
         X, y, names = dataset(1)
         params = ModelParams(n_estimators=12, max_depth=4, seed=9)
-        a = train_random_forest(X, y, params, names)
-        b = train_random_forest(X, y, params, names)
+        a = train("random_forest", X, y, params, names)
+        b = train("random_forest", X, y, params, names)
         assert np.array_equal(predict(a, X, names), predict(b, X, names))
 
     def test_different_seed_differs(self):
         X, y, names = dataset(1)
-        a = train_random_forest(X, y, ModelParams(n_estimators=12, max_depth=4, seed=1), names)
-        b = train_random_forest(X, y, ModelParams(n_estimators=12, max_depth=4, seed=2), names)
+        a = train("random_forest", X, y, ModelParams(n_estimators=12, max_depth=4, seed=1), names)
+        b = train("random_forest", X, y, ModelParams(n_estimators=12, max_depth=4, seed=2), names)
         assert not np.array_equal(predict(a, X, names), predict(b, X, names))
 
     def test_predictions_within_target_range(self):
         X, y, names = dataset(2)
         params = ModelParams(n_estimators=25, max_depth=6, seed=0)
-        model = train_random_forest(X, y, params, names)
+        model = train("random_forest", X, y, params, names)
         rng = np.random.default_rng(5)
         holdout = rng.normal(size=(200, X.shape[1])) * 3
         pred = predict(model, holdout, names)
@@ -60,7 +57,7 @@ class TestRandomForest:
 
     def test_save_load_round_trip(self, tmp_path):
         X, y, names = dataset(4)
-        model = train_random_forest(X, y, ModelParams(n_estimators=8, max_depth=4, seed=2), names)
+        model = train("random_forest", X, y, ModelParams(n_estimators=8, max_depth=4, seed=2), names)
         save_model(model, tmp_path / "rf.json")
         loaded = load_model(tmp_path / "rf.json")
         assert np.array_equal(predict(model, X, names), predict(loaded, X, names))
@@ -70,14 +67,14 @@ class TestExtraTrees:
     def test_deterministic_under_seed(self):
         X, y, names = dataset(5)
         params = ModelParams(n_estimators=12, max_depth=5, seed=11)
-        a = train_extra_trees(X, y, params, names)
-        b = train_extra_trees(X, y, params, names)
+        a = train("extra_trees", X, y, params, names)
+        b = train("extra_trees", X, y, params, names)
         assert np.array_equal(predict(a, X, names), predict(b, X, names))
 
     def test_uses_full_rows_and_stays_in_range(self):
         X, y, names = dataset(6)
         params = ModelParams(n_estimators=20, max_depth=6, seed=4)
-        model = train_extra_trees(X, y, params, names)
+        model = train("extra_trees", X, y, params, names)
         pred = predict(model, X * 2, names)
         assert pred.min() >= y.min() - 1e-12 and pred.max() <= y.max() + 1e-12
 
@@ -91,7 +88,7 @@ class TestExtraTrees:
     def test_learns_signal(self):
         X, y, names = dataset(8, n=200)
         params = ModelParams(n_estimators=40, max_depth=None, min_samples_leaf=2, seed=1)
-        model = train_extra_trees(X, y, params, names)
+        model = train("extra_trees", X, y, params, names)
         pred = predict(model, X, names)
         baseline = float(np.mean((y - y.mean()) ** 2))
         assert float(np.mean((y - pred) ** 2)) < 0.5 * baseline

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wheatyield.learners import ModelParams, load_model, predict, save_model, train_linear_svr
+from wheatyield.learners import ModelParams, load_model, predict, save_model, train
 
 
 class TestLinearSVR:
@@ -11,7 +11,7 @@ class TestLinearSVR:
         y = 3.0 * x + 7.0
         params = ModelParams(svr_epsilon=0.0, svr_c=100.0, svr_iterations=5000,
                              svr_step_size=0.05)
-        model = train_linear_svr(x.reshape(-1, 1), y, params, ["x"])
+        model = train("svr", x.reshape(-1, 1), y, params, ["x"])
         est = model.estimator
         slope = est.w[0] / est.scale[0]
         assert abs(slope - 3.0) / 3.0 < 0.05
@@ -22,7 +22,7 @@ class TestLinearSVR:
         y = 5.0 + 0.1 * rng.normal(size=50)
         epsilon = float(np.max(np.abs(y - y.mean()))) + 0.1
         params = ModelParams(svr_epsilon=epsilon, svr_c=10.0)
-        model = train_linear_svr(X, y, params, ["a", "b", "c"])
+        model = train("svr", X, y, params, ["a", "b", "c"])
         est = model.estimator
         assert np.all(est.w == 0.0)
         assert est.b == pytest.approx(float(np.mean(y)))
@@ -34,22 +34,22 @@ class TestLinearSVR:
         y = X @ np.array([1.0, -2.0, 0.5, 0.0]) + rng.normal(size=80)
         names = ["a", "b", "c", "d"]
         params = ModelParams()
-        a = train_linear_svr(X, y, params, names)
-        b = train_linear_svr(X, y, params, names)
+        a = train("svr", X, y, params, names)
+        b = train("svr", X, y, params, names)
         assert np.array_equal(a.estimator.w, b.estimator.w)
         assert a.estimator.b == b.estimator.b
 
     def test_non_finite_input_is_error(self):
         X = np.array([[1.0], [float("nan")]])
         with pytest.raises(ValueError, match="non-finite"):
-            train_linear_svr(X, np.array([1.0, 2.0]), ModelParams(), ["x"])
+            train("svr", X, np.array([1.0, 2.0]), ModelParams(), ["x"])
 
     def test_constant_column_gets_no_weight(self):
         rng = np.random.default_rng(3)
         X = np.column_stack([np.full(60, 4.2), rng.normal(size=60)])
         y = 2.0 * X[:, 1] + 1.0
         params = ModelParams(svr_epsilon=0.0, svr_c=50.0)
-        model = train_linear_svr(X, y, params, ["const", "x"])
+        model = train("svr", X, y, params, ["const", "x"])
         assert model.estimator.w[0] == 0.0
 
     def test_standardization_stored_and_applied(self):
@@ -57,7 +57,7 @@ class TestLinearSVR:
         X = rng.normal(loc=100.0, scale=25.0, size=(100, 2))
         y = 0.05 * X[:, 0] - 0.02 * X[:, 1] + 3.0
         params = ModelParams(svr_epsilon=0.0, svr_c=100.0)
-        model = train_linear_svr(X, y, params, ["a", "b"])
+        model = train("svr", X, y, params, ["a", "b"])
         pred = predict(model, X, ["a", "b"])
         assert float(np.mean(np.abs(pred - y))) < 0.1
 
@@ -65,7 +65,7 @@ class TestLinearSVR:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         y = X[:, 0] + rng.normal(size=40) * 0.1
-        model = train_linear_svr(X, y, ModelParams(), ["a", "b", "c"])
+        model = train("svr", X, y, ModelParams(), ["a", "b", "c"])
         save_model(model, tmp_path / "svr.json")
         loaded = load_model(tmp_path / "svr.json")
         assert np.array_equal(predict(model, X, ["a", "b", "c"]),

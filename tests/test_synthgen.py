@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from wheatyield.domain import validate
-from wheatyield.features import DEFAULT_FEATURE_PARAMS, assign_weeks, weekly_aggregate
+from wheatyield.features import (
+    DEFAULT_FEATURE_PARAMS,
+    assign_weeks,
+    soil_feature_values,
+    weekly_aggregate,
+)
 from wheatyield.ingest import parse_crop, parse_soil, parse_weather
 from wheatyield.synthgen import (
     DAYS_PER_SEASON,
     GenConfig,
     YearSpec,
     gen_dataset,
-    gen_soil,
     gen_sowing,
     gen_weather,
     gen_yield,
     generate_records,
-    soil_feature_values,
     soil_tests_for_zone,
     zone_roster,
 )
@@ -77,15 +80,15 @@ class TestGenWeather:
 class TestGenSoil:
     def test_record_passes_validation(self):
         for zone in range(30):
-            assert validate(gen_soil(zone, SMALL, seed=5)) is None
+            assert validate(soil_tests_for_zone(zone, SMALL, seed=5)[0]) is None
 
     def test_ph_within_bounds(self):
         for zone in range(50):
-            rec = gen_soil(zone, SMALL, seed=2)
+            rec = soil_tests_for_zone(zone, SMALL, seed=2)[0]
             assert 0.0 <= rec.ph <= 14.0
 
     def test_deterministic(self):
-        assert gen_soil(7, SMALL, seed=4) == gen_soil(7, SMALL, seed=4)
+        assert soil_tests_for_zone(7, SMALL, seed=4)[0] == soil_tests_for_zone(7, SMALL, seed=4)[0]
 
     def test_schedule_gaps_are_three_or_four_years(self):
         tests = soil_tests_for_zone(11, SMALL, seed=5)
@@ -110,20 +113,20 @@ class TestGenYield:
 
     def test_zero_weather_weight_removes_weather_dependence(self):
         cfg = SMALL.with_(weather_weight=0.0)
-        soil = soil_feature_values(gen_soil(1, cfg, seed=5))
+        soil = soil_feature_values(soil_tests_for_zone(1, cfg, seed=5)[0])
         y1 = gen_yield(soil, self.weekly(zone=1, cfg=cfg), cfg, 5, zone=1, year=2017)
         y2 = gen_yield(soil, self.weekly(zone=2, cfg=cfg), cfg, 5, zone=1, year=2017)
         assert y1 == y2
 
     def test_weather_weight_changes_yield(self):
-        soil = soil_feature_values(gen_soil(1, SMALL, seed=5))
+        soil = soil_feature_values(soil_tests_for_zone(1, SMALL, seed=5)[0])
         y1 = gen_yield(soil, self.weekly(zone=1), SMALL, 5, zone=1, year=2017)
         y2 = gen_yield(soil, self.weekly(zone=2), SMALL, 5, zone=1, year=2017)
         assert y1 != y2
 
     def test_yields_within_validation_range(self):
         for zone in range(40):
-            soil = soil_feature_values(gen_soil(zone, SMALL, seed=5))
+            soil = soil_feature_values(soil_tests_for_zone(zone, SMALL, seed=5)[0])
             y = gen_yield(soil, self.weekly(zone=zone), SMALL, 5, zone=zone, year=2018)
             assert 1.0 <= y <= 18.0
 

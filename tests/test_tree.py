@@ -8,7 +8,7 @@ from wheatyield.learners import (
     load_model,
     predict,
     save_model,
-    train_decision_tree,
+    train,
 )
 
 
@@ -117,7 +117,7 @@ def fit_tree(X, y, **kwargs):
     kwargs.setdefault("min_samples_leaf", 1)
     params = ModelParams(**kwargs)
     names = [f"x{i}" for i in range(np.asarray(X).shape[1])]
-    return train_decision_tree(np.asarray(X, float), np.asarray(y, float), params, names)
+    return train("decision_tree", np.asarray(X, float), np.asarray(y, float), params, names)
 
 
 class TestDecisionTree:
