@@ -135,7 +135,10 @@ def features_cmd(**kwargs) -> None:
         ("soil_only", "soil_weather") if cfg.mode == "both" else (cfg.internal_mode,)
     )
     for mode in wanted:
-        matrix = features.build_matrix(instances, mode, cfg.feature_params)
+        try:
+            matrix = features.build_matrix(instances, mode, cfg.feature_params)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
         name = "features_soil.csv" if mode == "soil_only" else "features_soil_weather.csv"
         features.write_features_csv(matrix, out / name)
         click.echo(f"wrote {name}: {matrix.n_rows} rows x {matrix.n_cols} features")

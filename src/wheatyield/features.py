@@ -233,7 +233,8 @@ def build_instances(
     ordinals: OrdinalSpec | None = None,
 ) -> tuple[list[Instance], list[InstanceRejection]]:
     """Build every instance the records allow, skipping zone-years that
-    lack a past soil test or (in soil_weather mode) complete weeks.
+    lack a past soil test or (in soil_weather mode) complete weeks, or whose
+    weekly sums overflow.
 
     Returns (instances, skipped). Instance order follows crop order.
     """
@@ -263,6 +264,7 @@ def build_instances(
             continue
 
         weeks: dict[int, WeeklyWeather] = {}
+        overflow_week = None
         if mode == MODE_SOIL_WEATHER:
             zone_days = days_by_zone.get(crop.zone_id, [])
             window_end = crop.sowing_date + timedelta(days=7 * params.week_end)
@@ -273,7 +275,18 @@ def build_instances(
             for week, bucket in buckets.items():
                 in_window = params.week_start <= week <= params.week_end
                 if in_window and len(bucket) >= params.min_days_per_week:
-                    weeks[week] = weekly_aggregate(bucket, week_index=week)
+                    try:
+                        weeks[week] = weekly_aggregate(bucket, week_index=week)
+                    except OverflowError:  # finite days whose sum exceeds float range
+                        overflow_week = week
+                        break
+        if overflow_week is not None:
+            skipped.append(
+                InstanceRejection(
+                    crop.zone_id, crop.year, f"weekly aggregate overflows in week {overflow_week}"
+                )
+            )
+            continue
 
         built = build_instance(crop, soil, weeks, mode, params, ordinals)
         if isinstance(built, InstanceRejection):

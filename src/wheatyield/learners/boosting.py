@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tree import TreeNodes, derived_rng, grow_tree, subsample_rows
+from .tree import TreeNodes, column_order, derived_rng, grow_tree, subsample_rows
 
 RoundGrower = Callable[[np.ndarray, int], TreeNodes]
 
@@ -80,6 +80,7 @@ class GradientBoosting(Boosting):
         p = self.params
         n, d = X.shape
         max_features = d if p.max_features is None else min(p.max_features, d)
+        order = column_order(X)  # X is fixed across rounds: sort it once per fit
 
         def grow(residual: np.ndarray, m: int) -> TreeNodes:
             rng = derived_rng(p.seed, m)
@@ -92,6 +93,7 @@ class GradientBoosting(Boosting):
                 max_features=max_features,
                 rng=rng,
                 root_rows=rows,
+                order=order,
             )
 
         return grow

@@ -33,37 +33,54 @@ def _exact_search(Xn: np.ndarray, yn: np.ndarray, feat_ids: np.ndarray, min_leaf
     if m < 2 or m < 2 * min_leaf or k == 0:
         return None
     yc = yn - yn.mean()
-    # one canonical node total shared by every feature, so equal partitions
-    # found through different features score bit-identically and ties
-    # resolve by the feature-index rule rather than accumulation noise
-    total = yc.sum()
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xs = np.take_along_axis(Xn, order, axis=0)
-    ys = yc[order]
-    csum = np.cumsum(ys, axis=0)
+    order = np.argsort(Xn.T, axis=1, kind="stable")
+    xs = np.take_along_axis(Xn.T, order, axis=1)
+    return _sorted_search(xs, yc[order], yc.sum(), feat_ids, min_leaf)
 
-    nl = np.arange(1, m, dtype=np.float64)[:, None]
+
+def _sorted_search(
+    xs: np.ndarray, ys: np.ndarray, total: float, feat_ids: np.ndarray, min_leaf: int
+) -> Split | None:
+    """The scan of :func:`_exact_search` over a node already sorted.
+
+    Row j of xs holds feature feat_ids[j]'s node values in ascending
+    order (a stable sort), and row j of ys the node-centered targets in
+    that same order. total is the centered node sum taken in node-row order:
+    one canonical total shared by every feature, so equal partitions found
+    through different features score bit-identically and ties resolve by
+    the feature-index rule rather than accumulation noise. The node must
+    hold at least max(2, 2 * min_leaf) rows.
+    """
+    k, m = xs.shape
+    # candidate i cuts after sorted position i; min_leaf bounds it to [lo, hi)
+    leaf = max(min_leaf, 1)
+    lo, hi = leaf - 1, m - leaf
+    sl = np.cumsum(ys[:, :hi], axis=1)[:, lo:]
+    nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
     nr = m - nl
-    sl = csum[:-1, :]
+    # gains = (sl^2/nl + sr^2/nr - total^2/m) / m, evaluated in place
+    gains = sl * sl
+    gains /= nl
     sr = total - sl
-    gains = (sl * sl / nl + sr * sr / nr - total * total / m) / m
+    sr *= sr
+    sr /= nr
+    gains += sr
+    gains -= total * total / m
+    gains /= m
+    valid = xs[:, lo + 1 : hi + 1] > xs[:, lo:hi]
+    np.copyto(gains, -np.inf, where=~valid)
 
-    valid = xs[1:] > xs[:-1]
-    if min_leaf > 1:
-        valid = valid & (nl >= min_leaf) & (nr >= min_leaf)
-    gains = np.where(valid, gains, -np.inf)
-
-    per_col_row = np.argmax(gains, axis=0)
-    per_col_gain = gains[per_col_row, np.arange(k)]
+    per_col_row = np.argmax(gains, axis=1)
+    per_col_gain = gains[np.arange(k), per_col_row]
     col = int(np.argmax(per_col_gain))
     gain = float(per_col_gain[col])
     if not gain > 0.0:
         return None
-    row = int(per_col_row[col])
-    lo, hi = float(xs[row, col]), float(xs[row + 1, col])
-    threshold = 0.5 * (lo + hi)
-    if threshold >= hi:  # midpoint rounded up; keep "x <= thr" consistent
-        threshold = lo
+    row = lo + int(per_col_row[col])
+    below, above = float(xs[col, row]), float(xs[col, row + 1])
+    threshold = 0.5 * (below + above)
+    if threshold >= above:  # midpoint rounded up; keep "x <= thr" consistent
+        threshold = below
     return Split(int(feat_ids[col]), threshold, gain)
 
 

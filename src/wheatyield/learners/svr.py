@@ -68,7 +68,8 @@ class LinearSVR:
         return (X - self.mu) / self.scale @ self.w + self.b
 
     def to_state(self) -> dict:
-        assert self.w is not None
+        if self.w is None:
+            raise RuntimeError("model is not fitted")
         return {
             "w": self.w.tolist(),
             "b": self.b,

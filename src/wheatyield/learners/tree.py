@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .splits import Split, _exact_search, _random_search
+from .splits import Split, _random_search, _sorted_search
 
 
 class TreeNodes:
@@ -92,6 +92,11 @@ class _Growth:
         return TreeNodes(self.feature, self.threshold, self.left, self.right, self.value)
 
 
+def column_order(X: np.ndarray) -> np.ndarray:
+    """Row ids of X sorted stably by each column: a (d, n) matrix."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
 def grow_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -102,12 +107,23 @@ def grow_tree(
     rng: np.random.Generator | None = None,
     random_thresholds: bool = False,
     root_rows: np.ndarray | None = None,
+    order: np.ndarray | None = None,
 ) -> TreeNodes:
     """Grow one regression tree.
 
     max_features draws a fresh feature subset at every node (requires rng);
     random_thresholds switches the split search from exhaustive midpoints
-    to one uniform draw per feature (extra-trees style).
+    to one uniform draw per feature (extra-trees style). root_rows must be
+    strictly ascending.
+
+    The exhaustive search sorts nothing at a node. Each searching node
+    holds its rows sorted by every column (a (d, m) row-id matrix) and
+    partitions that matrix stably between its children. ``order`` is
+    :func:`column_order` of X, so that callers growing many trees on one
+    matrix sort it once; without it the tree sorts X itself. Node rows
+    stay ascending, so a stable full sort filtered to a node equals a
+    stable sort of that node alone, and every split is the one
+    :func:`best_split` finds for the node's rows.
     """
     if X.shape[0] == 0:
         raise ValueError("cannot grow a tree on an empty matrix")
@@ -117,6 +133,8 @@ def grow_tree(
     )
     if rows0.size == 0:
         raise ValueError("cannot grow a tree on an empty row subset")
+    if np.any(rows0[1:] <= rows0[:-1]):
+        raise ValueError("root_rows must be strictly ascending")
     if max_features is not None and max_features < 1:
         raise ValueError("max_features must be >= 1")
     subset = max_features is not None and max_features < d
@@ -126,33 +144,74 @@ def grow_tree(
         raise ValueError("random thresholds require an rng")
     all_feats = np.arange(d, dtype=np.intp)
     growth = _Growth()
+    goes_left = np.zeros(n, dtype=bool)
 
-    def build(rows: np.ndarray, depth: int) -> int:
+    def splittable(depth: int) -> bool:
+        return max_depth is None or depth < max_depth
+
+    def searches(m: int, depth: int) -> bool:
+        # the node runs the exact scan, so it needs its sorted rows
+        return not random_thresholds and splittable(depth) and m >= max(2, 2 * min_samples_leaf)
+
+    root_sorted = None
+    if searches(rows0.size, 0):
+        XT = np.ascontiguousarray(X.T)
+        root_sorted = column_order(X) if order is None else order
+        if root_rows is not None:
+            in_root = np.zeros(n, dtype=bool)
+            in_root[rows0] = True
+            flat = root_sorted.ravel()
+            root_sorted = np.compress(in_root.take(flat), flat).reshape(d, rows0.size)
+
+    def build(rows: np.ndarray, sorted_rows: np.ndarray | None, depth: int) -> int:
         idx = growth.add()
         yn = y[rows]
-        growth.value[idx] = float(yn.mean())
+        mean = yn.mean()
+        growth.value[idx] = float(mean)
 
         split: Split | None = None
-        if (max_depth is None or depth < max_depth) and rows.size >= 2:
+        if splittable(depth) and rows.size >= 2:
             if subset:
                 feats = np.sort(rng.choice(d, size=max_features, replace=False))
             else:
                 feats = all_feats
-            Xn = X[np.ix_(rows, feats)]
             if random_thresholds:
-                split = _random_search(Xn, yn, feats, min_samples_leaf, rng)
-            else:
-                split = _exact_search(Xn, yn, feats, min_samples_leaf)
+                split = _random_search(X[np.ix_(rows, feats)], yn, feats, min_samples_leaf, rng)
+            elif sorted_rows is not None:
+                ids = sorted_rows[feats] if subset else sorted_rows
+                split = _sorted_search(
+                    XT[feats[:, None], ids],
+                    y.take(ids) - mean,
+                    (yn - mean).sum(),
+                    feats,
+                    min_samples_leaf,
+                )
 
         if split is not None:
             go_left = X[rows, split.feature] <= split.threshold
+            left_rows, right_rows = rows[go_left], rows[~go_left]
+            left_sorted = right_sorted = None
+            left_searches = searches(left_rows.size, depth + 1)
+            right_searches = searches(right_rows.size, depth + 1)
+            if left_searches or right_searches:
+                goes_left[rows] = go_left
+                flat = sorted_rows.ravel()
+                to_left = goes_left.take(flat)
+                if left_searches:
+                    left_sorted = np.compress(to_left, flat).reshape(d, left_rows.size)
+                if right_searches:
+                    right_sorted = np.compress(~to_left, flat).reshape(d, right_rows.size)
             growth.feature[idx] = split.feature
             growth.threshold[idx] = split.threshold
-            growth.left[idx] = build(rows[go_left], depth + 1)
-            growth.right[idx] = build(rows[~go_left], depth + 1)
+            growth.left[idx] = build(left_rows, left_sorted, depth + 1)
+            growth.right[idx] = build(right_rows, right_sorted, depth + 1)
         return idx
 
-    build(rows0, 0)
+    build(rows0, root_sorted, 0)
+    # build reaches itself through its closure; clearing the name breaks that
+    # cycle, so the arrays the closure holds are freed now, not at a later
+    # garbage collection
+    del build
     return growth.finish()
 
 
@@ -184,7 +243,8 @@ class DecisionTree:
         return self.nodes.predict(np.asarray(X, dtype=np.float64))
 
     def to_state(self) -> dict:
-        assert self.nodes is not None
+        if self.nodes is None:
+            raise RuntimeError("model is not fitted")
         return {"tree": self.nodes.to_state()}
 
     def load_state(self, state: dict) -> None:

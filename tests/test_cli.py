@@ -165,6 +165,40 @@ class TestCliPipeline:
             skipped = (out / "skipped_instances.csv").read_text()
             assert f"{crops[0].zone_id},{crops[0].year},missing weeks [31]" in skipped
 
+    def test_weekly_overflow_skips_zone_year_not_fatal(self, workdir):
+        run_cli("synth", "--config", "run.ini")
+        out = workdir / "out"
+        crops, _ = parse_crop(out / "crop.csv")
+        path = out / "weather.csv"
+        lines = path.read_text().splitlines()
+        # two finite days of the first zone-year in week 31 whose sum overflows
+        for row in (1 + 7 * 30, 2 + 7 * 30):
+            cells = lines[row].split(",")
+            cells[4] = "1e308"
+            lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+        result = run_cli("features", "--config", "run.ini")
+        assert result.exit_code == 0
+        skipped = (out / "skipped_instances.csv").read_text().splitlines()
+        assert (
+            f"{crops[0].zone_id},{crops[0].year},weekly aggregate overflows in week 31" in skipped
+        )
+        sw = (out / "features_soil_weather.csv").read_text()
+        assert f"{crops[0].zone_id},{crops[0].year}," not in sw
+
+    def test_features_matrix_error_is_one_line_diagnostic(self, workdir, monkeypatch):
+        run_cli("synth", "--config", "run.ini")
+
+        def broken(*args, **kwargs):
+            raise ValueError("design matrix contains non-finite values")
+
+        monkeypatch.setattr("wheatyield.features.build_matrix", broken)
+        result = CliRunner().invoke(main, ["features", "--config", "run.ini"])
+        assert result.exit_code == 1
+        assert "Error: design matrix contains non-finite values" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_features_writes_matrices(self, workdir):
         run_cli("synth", "--config", "run.ini")
         result = run_cli("features", "--config", "run.ini")

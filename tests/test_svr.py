@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wheatyield.learners import ModelParams, load_model, predict, save_model, train
+from wheatyield.learners import LinearSVR, ModelParams, load_model, predict, save_model, train
 
 
 class TestLinearSVR:
@@ -70,3 +70,8 @@ class TestLinearSVR:
         loaded = load_model(tmp_path / "svr.json")
         assert np.array_equal(predict(model, X, ["a", "b", "c"]),
                               predict(loaded, X, ["a", "b", "c"]))
+
+    def test_unfitted_to_state_is_error(self):
+        # a raised error, not an assert, so python -O keeps the check
+        with pytest.raises(RuntimeError, match="not fitted"):
+            LinearSVR(ModelParams()).to_state()

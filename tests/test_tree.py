@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wheatyield.learners import (
     ColumnMismatchError,
+    DecisionTree,
     ModelParams,
+    TreeNodes,
     best_split,
+    grow_tree,
     load_model,
     predict,
     save_model,
     train,
 )
+from wheatyield.learners.tree import column_order
 
 
 def enumerate_splits(X, y, min_leaf=1):
@@ -81,6 +87,7 @@ class TestBestSplit:
         y = np.array([0.0, 0, 0, 0, 0, 100.0])
         unconstrained = best_split(X, y)
         assert unconstrained is not None and unconstrained.threshold == pytest.approx(4.5)
+        assert best_split(X, y, min_samples_leaf=0) == unconstrained
         constrained = best_split(X, y, min_samples_leaf=3)
         assert constrained is not None and constrained.threshold == pytest.approx(2.5)
 
@@ -111,6 +118,99 @@ class TestBestSplit:
             if len(achieved) == 1:
                 assert got.feature == cands[0][1]
                 assert got.threshold == pytest.approx(cands[0][2], abs=1e-12)
+
+
+def reference_grow_tree(X, y, *, max_depth, min_samples_leaf, max_features, rng, root_rows):
+    """Recursive grower that runs best_split (a per-node stable argsort) at
+    every node and draws each node's feature subset as grow_tree does."""
+    n, d = X.shape
+    rows0 = np.arange(n) if root_rows is None else np.asarray(root_rows)
+    subset = max_features is not None and max_features < d
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def build(rows, depth):
+        idx = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(y[rows].mean()))
+        split = None
+        if (max_depth is None or depth < max_depth) and rows.size >= 2:
+            feats = np.sort(rng.choice(d, size=max_features, replace=False)) if subset else None
+            split = best_split(
+                X, y, row_subset=rows, feature_subset=feats, min_samples_leaf=min_samples_leaf
+            )
+        if split is not None:
+            go_left = X[rows, split.feature] <= split.threshold
+            feature[idx] = split.feature
+            threshold[idx] = split.threshold
+            left[idx] = build(rows[go_left], depth + 1)
+            right[idx] = build(rows[~go_left], depth + 1)
+        return idx
+
+    build(rows0, 0)
+    return TreeNodes(feature, threshold, left, right, value)
+
+
+@st.composite
+def tree_problems(draw):
+    """Small matrices with heavy ties: integer-valued columns, an optional
+    constant column, rows duplicated as a bootstrap duplicates them."""
+    n_base = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 5))
+    base = np.array(
+        draw(st.lists(st.integers(0, 3), min_size=n_base * d, max_size=n_base * d)),
+        dtype=np.float64,
+    ).reshape(n_base, d)
+    if draw(st.booleans()):
+        base[:, draw(st.integers(0, d - 1))] = 7.0
+    n = draw(st.integers(1, 24))
+    X = base[draw(st.lists(st.integers(0, n_base - 1), min_size=n, max_size=n))]
+    y = np.array(
+        draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)), dtype=np.float64
+    ) / draw(st.sampled_from([1.0, 3.0, 7.0]))
+    root_rows = None
+    if draw(st.booleans()):
+        root_rows = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    return {
+        "X": X,
+        "y": y,
+        "root_rows": root_rows,
+        "max_features": draw(st.one_of(st.none(), st.integers(1, d))),
+        "min_samples_leaf": draw(st.integers(1, 5)),
+        "max_depth": draw(st.sampled_from([None, 0, 3])),
+        "seed": draw(st.integers(0, 2**16)),
+        "presort": draw(st.booleans()),
+    }
+
+
+class TestGrowTree:
+    @given(tree_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_node_argsort_reference(self, problem):
+        X, y, seed = problem["X"], problem["y"], problem["seed"]
+        kwargs = {
+            key: problem[key] for key in ("max_depth", "min_samples_leaf", "max_features", "root_rows")
+        }
+        got = grow_tree(
+            X,
+            y,
+            rng=np.random.default_rng(seed),
+            order=column_order(X) if problem["presort"] else None,
+            **kwargs,
+        )
+        want = reference_grow_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
+        for name in TreeNodes.__slots__:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_root_rows_must_be_strictly_ascending(self):
+        X = np.arange(8.0).reshape(4, 2)
+        y = np.arange(4.0)
+        for rows in ([2, 1], [1, 1, 3]):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                grow_tree(X, y, max_depth=2, min_samples_leaf=1, root_rows=np.array(rows))
 
 
 def fit_tree(X, y, **kwargs):
@@ -218,3 +318,8 @@ class TestDecisionTree:
         names = ["x0", "x1", "x2"]
         assert np.array_equal(predict(model, X, names), predict(loaded, X, names))
         assert loaded.column_names == model.column_names
+
+    def test_unfitted_to_state_is_error(self):
+        # a raised error, not an assert, so python -O keeps the check
+        with pytest.raises(RuntimeError, match="not fitted"):
+            DecisionTree(ModelParams()).to_state()
