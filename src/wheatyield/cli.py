@@ -15,7 +15,6 @@ import click
 
 from . import evalstat, features, ingest, reporting, synthgen
 from .config import ConfigError, MODES, RunConfig, load_config
-from .domain import CropRecord, SoilRecord, WeatherDaily
 from .ingest import RejectionLog
 
 
@@ -57,9 +56,8 @@ def _out(cfg: RunConfig) -> Path:
     return out
 
 
-def _ingest_all(
-    cfg: RunConfig,
-) -> tuple[list[SoilRecord], list[WeatherDaily], list[CropRecord], RejectionLog]:
+def _ingest_all(cfg: RunConfig):
+    """Soil records, the weather table, crop records and the merged log."""
     try:
         soil, log_s = ingest.parse_soil(cfg.soil_path, cfg.ranges, cfg.ordinals)
         weather, log_w = ingest.parse_weather(cfg.weather_path, cfg.ranges)

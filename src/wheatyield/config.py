@@ -358,6 +358,8 @@ def load_config(
     )
     if feature_params.week_start < 1 or feature_params.week_end < feature_params.week_start:
         raise ConfigError("[features] week window must satisfy 1 <= week_start <= week_end")
+    if not 1 <= feature_params.min_days_per_week <= 7:
+        raise ConfigError("[features] min_days_per_week must be in 1..7")
 
     model_params = {
         kind: _build_model_params(kind, merged[f"model.{kind}"], seed)

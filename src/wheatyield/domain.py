@@ -9,8 +9,10 @@ constraint, so callers can log and keep going.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
+
+import numpy as np
 
 
 class UnknownCategoryError(ValueError):
@@ -96,17 +98,13 @@ class SoilRecord:
     caco3: str
 
 
-@dataclass(frozen=True, slots=True)
-class WeatherDaily:
-    """One day of weather observations for a zone."""
+WEATHER_FIELDS = ("t_min", "t_max", "precip", "solar", "humidity")
 
-    zone_id: str
-    date: date
-    t_min: float
-    t_max: float
-    precip: float
-    solar: float
-    humidity: float
+# Daily weather is one structured array with a row per zone-day: zone_id
+# holds one shared str object per zone, day the date's proleptic ordinal.
+WEATHER_DTYPE = np.dtype(
+    [("zone_id", object), ("day", np.int64)] + [(name, np.float64) for name in WEATHER_FIELDS]
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,15 +196,12 @@ class ValidationRanges:
     humidity: Bound = Bound(lo=0.0, hi=100.0)
     yield_t_ha: Bound = Bound(lo=1.0, hi=18.0)
 
-    def with_overrides(self, **bounds: Bound) -> "ValidationRanges":
-        return replace(self, **bounds)
-
 
 DEFAULT_RANGES = ValidationRanges()
 
 
 def validate(
-    record: SoilRecord | WeatherDaily | CropRecord,
+    record: SoilRecord | CropRecord,
     ranges: ValidationRanges = DEFAULT_RANGES,
     ordinals: OrdinalSpec | None = None,
 ) -> Rejection | None:
@@ -227,17 +222,6 @@ def validate(
                 return Rejection(name, label, "unknown category")
         return None
 
-    if isinstance(record, WeatherDaily):
-        for name in ("t_min", "t_max", "precip", "solar", "humidity"):
-            bad = getattr(ranges, name).check(name, getattr(record, name))
-            if bad is not None:
-                return bad
-        if record.t_min > record.t_max:
-            return Rejection(
-                "t_min", record.t_min, f"exceeds t_max {record.t_max}"
-            )
-        return None
-
     if isinstance(record, CropRecord):
         bad = ranges.yield_t_ha.check("yield_t_ha", record.yield_t_ha)
         if bad is not None:
@@ -251,3 +235,21 @@ def validate(
         return None
 
     raise TypeError(f"cannot validate {type(record).__name__}")
+
+
+def weather_rejections(
+    table: np.ndarray, ranges: ValidationRanges = DEFAULT_RANGES
+) -> dict[int, Rejection]:
+    """First violated constraint of each bad row of a ``WEATHER_DTYPE`` array,
+    keyed by row index: the field bounds in field order, then t_min <= t_max."""
+    found: dict[int, Rejection] = {}
+    for name in WEATHER_FIELDS:
+        bound, column = getattr(ranges, name), table[name]
+        lo = -np.inf if bound.lo is None else bound.lo
+        hi = np.inf if bound.hi is None else bound.hi
+        for i in np.flatnonzero(~(np.isfinite(column) & (column >= lo) & (column <= hi))).tolist():
+            found.setdefault(i, bound.check(name, float(column[i])))
+    for i in np.flatnonzero(table["t_min"] > table["t_max"]).tolist():
+        _, _, t_min, t_max, *_ = table[i].item()
+        found.setdefault(i, Rejection("t_min", t_min, f"exceeds t_max {t_max}"))
+    return found

@@ -1,9 +1,9 @@
 """Weekly weather aggregation and design-matrix assembly.
 
-Daily weather is bucketed into 7-day weeks anchored at the sowing date
-(week 1 = sowing week, not calendar weeks), each bucket is reduced to six
-aggregates, and the growth window (weeks 17..40 by default) is flattened
-next to the soil features into one row per zone-year.
+Daily weather is grouped into 7-day weeks anchored at the sowing date
+(week 1 = sowing week, not calendar weeks), each week of the growth window
+(weeks 17..40 by default) is reduced to six aggregates, and these are
+flattened next to the soil features into one row per zone-year.
 
 Feature column order is fixed and documented:
     p, k, mg, ph, soil_type, stone_content, organic_matter, caco3,
@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .domain import CropRecord, Instance, OrdinalSpec, SoilRecord, WeatherDaily, WeeklyWeather
+from .domain import CropRecord, Instance, OrdinalSpec, SoilRecord, WeeklyWeather
 from .ingest import carry_forward_soil
 
 MODE_SOIL = "soil_only"
@@ -77,44 +75,51 @@ def soil_feature_values(soil: SoilRecord, ordinals: OrdinalSpec | None = None) -
     return out
 
 
-def assign_weeks(
-    days: list[WeatherDaily], sowing_date: date
-) -> dict[int, list[WeatherDaily]]:
-    """Bucket days into sowing-anchored weeks.
-
-    A day at offset delta from sowing lands in week floor(delta/7) + 1;
-    days before the sowing date are excluded.
-    """
-    buckets: dict[int, list[WeatherDaily]] = {}
-    for day in days:
-        offset = (day.date - sowing_date).days
-        if offset < 0:
-            continue
-        buckets.setdefault(offset // 7 + 1, []).append(day)
-    return buckets
-
-
-def weekly_aggregate(week_days: list[WeatherDaily], week_index: int = 0) -> WeeklyWeather:
-    """Reduce one week bucket (1..7 days) to the six weekly aggregates.
+def weekly_aggregate(week: np.ndarray, week_index: int = 0) -> WeeklyWeather:
+    """Reduce one week (1..7 rows of a ``WEATHER_DTYPE`` array) to the six
+    weekly aggregates.
 
     Daily mean temperature is (t_max + t_min) / 2 throughout. Sums use
     math.fsum, so the result is exactly permutation-invariant.
     """
-    n = len(week_days)
+    n = len(week)
     if n == 0:
         raise ValueError("empty week bucket")
     if n > 7:
         raise ValueError(f"week bucket has {n} days, at most 7 allowed")
-    means = [(d.t_max + d.t_min) / 2.0 for d in week_days]
+    means = [(hi + lo) / 2.0 for hi, lo in zip(week["t_max"].tolist(), week["t_min"].tolist())]
     return WeeklyWeather(
         week_index=week_index,
         t_avg=math.fsum(means) / n,
         dd_sum=math.fsum(max(0.0, m) for m in means),
         egd_total=sum(1 for m in means if m > EGD_THRESHOLD_C),
-        ap_sum=math.fsum(d.precip for d in week_days),
-        sr_sum=math.fsum(d.solar for d in week_days),
-        h_avg=math.fsum(d.humidity for d in week_days) / n,
+        ap_sum=math.fsum(week["precip"].tolist()),
+        sr_sum=math.fsum(week["solar"].tolist()),
+        h_avg=math.fsum(week["humidity"].tolist()) / n,
     )
+
+
+def window_weeks(
+    days: np.ndarray, sowing: int, params: FeatureParams = DEFAULT_FEATURE_PARAMS
+) -> dict[int, WeeklyWeather]:
+    """Aggregates of the growth-window weeks of one zone's day-sorted
+    weather that have at least ``min_days_per_week`` days.
+
+    ``sowing`` is the sowing date's ordinal; the day at offset delta from
+    it lies in week floor(delta/7) + 1, so days before sowing are in no
+    week. Raises OverflowError naming the first week whose sums overflow.
+    """
+    weeks = params.weeks()
+    starts = sowing + 7 * np.arange(weeks.start - 1, weeks.stop)
+    edges = np.searchsorted(days["day"], starts).tolist()
+    out: dict[int, WeeklyWeather] = {}
+    for week, lo, hi in zip(weeks, edges, edges[1:]):
+        if hi - lo >= params.min_days_per_week:
+            try:
+                out[week] = weekly_aggregate(days[lo:hi], week)
+            except OverflowError:  # finite days whose sum exceeds float range
+                raise OverflowError(f"weekly aggregate overflows in week {week}") from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -227,14 +232,14 @@ def build_matrix(
 def build_instances(
     crops: list[CropRecord],
     soils: list[SoilRecord],
-    weather: list[WeatherDaily],
+    weather: np.ndarray,
     mode: str,
     params: FeatureParams = DEFAULT_FEATURE_PARAMS,
     ordinals: OrdinalSpec | None = None,
 ) -> tuple[list[Instance], list[InstanceRejection]]:
     """Build every instance the records allow, skipping zone-years that
     lack a past soil test or (in soil_weather mode) complete weeks, or whose
-    weekly sums overflow.
+    weekly sums overflow. ``weather`` is a ``WEATHER_DTYPE`` array.
 
     Returns (instances, skipped). Instance order follows crop order.
     """
@@ -242,14 +247,15 @@ def build_instances(
     for rec in soils:
         soil_by_zone.setdefault(rec.zone_id, []).append(rec)
 
-    days_by_zone: dict[str, list[WeatherDaily]] = {}
-    dates_by_zone: dict[str, list[date]] = {}
-    if mode == MODE_SOIL_WEATHER:
-        for day in weather:
-            days_by_zone.setdefault(day.zone_id, []).append(day)
-        for zone, zone_days in days_by_zone.items():
-            zone_days.sort(key=lambda d: d.date)
-            dates_by_zone[zone] = [d.date for d in zone_days]
+    days_by_zone: dict[str, np.ndarray] = {}
+    if mode == MODE_SOIL_WEATHER:  # one (zone, day) sort, then a day-sorted slice per zone
+        codes: dict[str, int] = {}
+        zone_code = np.fromiter(
+            (codes.setdefault(z, len(codes)) for z in weather["zone_id"]), np.int64, len(weather)
+        )
+        ordered = weather[np.lexsort((weather["day"], zone_code))]
+        bounds = np.cumsum([0, *np.bincount(zone_code)]).tolist()
+        days_by_zone = {zone: ordered[lo:hi] for zone, lo, hi in zip(codes, bounds, bounds[1:])}
 
     instances: list[Instance] = []
     skipped: list[InstanceRejection] = []
@@ -264,29 +270,13 @@ def build_instances(
             continue
 
         weeks: dict[int, WeeklyWeather] = {}
-        overflow_week = None
         if mode == MODE_SOIL_WEATHER:
-            zone_days = days_by_zone.get(crop.zone_id, [])
-            window_end = crop.sowing_date + timedelta(days=7 * params.week_end)
-            dates = dates_by_zone.get(crop.zone_id, [])
-            lo = bisect_left(dates, crop.sowing_date)
-            hi = bisect_left(dates, window_end)
-            buckets = assign_weeks(zone_days[lo:hi], crop.sowing_date)
-            for week, bucket in buckets.items():
-                in_window = params.week_start <= week <= params.week_end
-                if in_window and len(bucket) >= params.min_days_per_week:
-                    try:
-                        weeks[week] = weekly_aggregate(bucket, week_index=week)
-                    except OverflowError:  # finite days whose sum exceeds float range
-                        overflow_week = week
-                        break
-        if overflow_week is not None:
-            skipped.append(
-                InstanceRejection(
-                    crop.zone_id, crop.year, f"weekly aggregate overflows in week {overflow_week}"
-                )
-            )
-            continue
+            days = days_by_zone.get(crop.zone_id, weather[:0])
+            try:
+                weeks = window_weeks(days, crop.sowing_date.toordinal(), params)
+            except OverflowError as exc:
+                skipped.append(InstanceRejection(crop.zone_id, crop.year, str(exc)))
+                continue
 
         built = build_instance(crop, soil, weeks, mode, params, ordinals)
         if isinstance(built, InstanceRejection):

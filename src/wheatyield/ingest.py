@@ -11,9 +11,10 @@ Schemas:
     weather.csv zone_id,date,t_min_c,t_max_c,precip_mm,solar_mj_m2,humidity_pct
     crop.csv    zone_id,year,crop,sowing_date,harvest_date,yield_t_ha
 
-Dates are ISO-8601 (YYYY-MM-DD). Duplicates resolve keep-first in file
-order. Crop rows whose crop column is not winter_wheat (case-insensitive)
-are logged as filtered, which is distinct from rejected.
+Dates are YYYY-MM-DD; other ISO-8601 spellings are rejected rows on every
+Python version. Duplicates resolve keep-first in file order. Crop rows
+whose crop column is not winter_wheat (case-insensitive) are logged as
+filtered, which is distinct from rejected.
 
 The ``write_*_csv`` functions emit the same schemas with floats as their
 shortest round-trip text; they are the only CSV writers for these files,
@@ -23,9 +24,13 @@ so the generator's output and a cleaned copy of it are byte-identical.
 from __future__ import annotations
 
 import csv
+import re
+from array import array
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+
+import numpy as np
 
 from .domain import (
     CropRecord,
@@ -33,8 +38,10 @@ from .domain import (
     SoilRecord,
     ValidationRanges,
     DEFAULT_RANGES,
-    WeatherDaily,
+    WEATHER_DTYPE,
+    WEATHER_FIELDS,
     validate,
+    weather_rejections,
 )
 
 SOIL_HEADER = [
@@ -67,6 +74,17 @@ WINTER_WHEAT = "winter_wheat"
 
 class SchemaError(ValueError):
     """File-level problem: missing file or header not matching the schema."""
+
+
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
+
+def parse_date(text: str) -> date:
+    """Parse exactly YYYY-MM-DD. ``date.fromisoformat`` also takes ``20121024``
+    or ``2012-W43-3`` from Python 3.11 on; here they fail, with its message."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
 
 
 @dataclass(frozen=True)
@@ -167,43 +185,49 @@ def parse_soil(
 
 def parse_weather(
     path: str | Path, ranges: ValidationRanges = DEFAULT_RANGES
-) -> tuple[list[WeatherDaily], RejectionLog]:
-    """Parse weather.csv; analogous to :func:`parse_soil`.
+) -> tuple[np.ndarray, RejectionLog]:
+    """Parse weather.csv into one ``WEATHER_DTYPE`` array of the accepted rows
+    (input order) and a rejection log (line order).
 
-    Duplicate (zone_id, date) keeps the first occurrence.
+    Rows are parsed one by one into typed columns; the range checks and the
+    first-valid-wins (zone_id, date) duplicate search then run on whole columns.
     """
-    source = str(path)
-    log = RejectionLog()
-    records: list[WeatherDaily] = []
-    seen: set[tuple[str, date]] = set()
+    entries: list[tuple[int, str]] = []
+    lines, codes, days, values = array("q"), array("q"), array("q"), array("d")
+    zones: dict[str, int] = {}
+    day_of: dict[str, int] = {}  # date text -> ordinal: each date recurs once per zone
     for lineno, row in _open_rows(path, WEATHER_HEADER):
         if len(row) != len(WEATHER_HEADER):
-            log.add(source, lineno, f"expected {len(WEATHER_HEADER)} fields, got {len(row)}")
+            entries.append((lineno, f"expected {len(WEATHER_HEADER)} fields, got {len(row)}"))
             continue
         try:
-            record = WeatherDaily(
-                zone_id=row[0],
-                date=date.fromisoformat(row[1]),
-                t_min=float(row[2]),
-                t_max=float(row[3]),
-                precip=float(row[4]),
-                solar=float(row[5]),
-                humidity=float(row[6]),
-            )
+            day = day_of.get(row[1]) or day_of.setdefault(row[1], parse_date(row[1]).toordinal())
+            parsed = list(map(float, row[2:]))
         except ValueError as exc:
-            log.add(source, lineno, f"unparseable value: {exc}")
+            entries.append((lineno, f"unparseable value: {exc}"))
             continue
-        bad = validate(record, ranges)
-        if bad is not None:
-            log.add(source, lineno, str(bad))
-            continue
-        key = (record.zone_id, record.date)
-        if key in seen:
-            log.add(source, lineno, f"duplicate weather for zone {key[0]} on {key[1]}")
-            continue
-        seen.add(key)
-        records.append(record)
-    return records, log
+        lines.append(lineno)
+        codes.append(zones.setdefault(row[0], len(zones)))
+        days.append(day)
+        values.extend(parsed)
+
+    table = np.empty(len(lines), WEATHER_DTYPE)
+    zone_code = np.frombuffer(codes, np.int64)
+    table["zone_id"] = np.array(list(zones), dtype=object)[zone_code]
+    table["day"] = days
+    columns = np.frombuffer(values).reshape(-1, len(WEATHER_FIELDS)).T
+    for name, column in zip(WEATHER_FIELDS, columns):
+        table[name] = column
+    rejected = weather_rejections(table, ranges)
+    entries += [(lines[i], str(bad)) for i, bad in rejected.items()]
+    valid = np.setdiff1d(np.arange(len(table)), list(rejected))
+    key = (zone_code[valid] << 32) | table["day"][valid]
+    first = valid[np.unique(key, return_index=True)[1]]
+    for i in np.setdiff1d(valid, first).tolist():
+        zone, day = table[i].item()[:2]
+        entries.append((lines[i], f"duplicate weather for zone {zone} on {date.fromordinal(day)}"))
+    log = RejectionLog([LogEntry(str(path), line, reason) for line, reason in sorted(entries)])
+    return table[np.sort(first)], log
 
 
 def parse_crop(
@@ -231,8 +255,8 @@ def parse_crop(
             record = CropRecord(
                 zone_id=row[0],
                 year=int(row[1]),
-                sowing_date=date.fromisoformat(row[3]),
-                harvest_date=date.fromisoformat(row[4]),
+                sowing_date=parse_date(row[3]),
+                harvest_date=parse_date(row[4]),
                 yield_t_ha=float(row[5]),
             )
         except ValueError as exc:
@@ -264,14 +288,17 @@ def write_soil_csv(records: list[SoilRecord], path: str | Path) -> None:
             )
 
 
-def write_weather_csv(records: list[WeatherDaily], path: str | Path) -> None:
+def write_weather_csv(table: np.ndarray, path: str | Path) -> None:
+    iso = {day: date.fromordinal(day).isoformat() for day in np.unique(table["day"]).tolist()}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEATHER_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.zone_id, r.date.isoformat(), repr(r.t_min), repr(r.t_max),
-                 repr(r.precip), repr(r.solar), repr(r.humidity)]
+        for start in range(0, len(table), 4096):
+            # chunked tolist(): Python floats (shortest repr), no table copy
+            writer.writerows(
+                (zone_id, iso[day], repr(t_min), repr(t_max), repr(precip), repr(solar), repr(hum))
+                for zone_id, day, t_min, t_max, precip, solar, hum
+                in table[start:start + 4096].tolist()
             )
 
 

@@ -20,20 +20,15 @@ so regeneration is byte-identical and independent of evaluation order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .domain import CropRecord, OrdinalSpec, SoilRecord, WeatherDaily, WeeklyWeather
-from .features import (
-    DEFAULT_FEATURE_PARAMS,
-    FeatureParams,
-    assign_weeks,
-    soil_feature_values,
-    weekly_aggregate,
-)
+from .domain import WEATHER_DTYPE, CropRecord, OrdinalSpec, SoilRecord, WeeklyWeather
+from .features import DEFAULT_FEATURE_PARAMS, FeatureParams, soil_feature_values, window_weeks
 from .ingest import carry_forward_soil, write_crop_csv, write_soil_csv, write_weather_csv
 
 # rng stream tags
@@ -197,8 +192,9 @@ def gen_sowing(zone: int, year: int, cfg: GenConfig, seed: int) -> date:
     return cfg.sow_earliest(year) + timedelta(days=offset)
 
 
-def gen_weather(zone: int, year: int, cfg: GenConfig, seed: int) -> list[WeatherDaily]:
-    """Daily weather from sowing through sowing + 40 weeks for one zone-year.
+def gen_weather(zone: int, year: int, cfg: GenConfig, seed: int) -> np.ndarray:
+    """Daily weather from sowing through sowing + 40 weeks for one zone-year,
+    as a day-sorted ``WEATHER_DTYPE`` array.
 
     Values are rounded to one or two decimals, like measured data; the CSV
     writers are lossless, so in-memory records and a written-then-parsed
@@ -207,7 +203,9 @@ def gen_weather(zone: int, year: int, cfg: GenConfig, seed: int) -> list[Weather
     sowing = gen_sowing(zone, year, cfg, seed)
     rng = _rng(seed, _WEATHER, zone, year)
     n = DAYS_PER_SEASON
-    ordinals = sowing.toordinal() + np.arange(n)
+    days = np.empty(n, WEATHER_DTYPE)
+    days["zone_id"] = sys.intern(cfg.zone_id(zone))
+    days["day"] = ordinals = sowing.toordinal() + np.arange(n)
 
     zone_offset = rng.normal(0.0, cfg.t_zone_sd)
     t_mean = (
@@ -218,17 +216,17 @@ def gen_weather(zone: int, year: int, cfg: GenConfig, seed: int) -> list[Weather
     half = np.maximum(
         cfg.t_halfrange + rng.normal(0.0, cfg.t_halfrange_sd, n), cfg.t_halfrange_min
     )
-    t_min = np.round(t_mean - half, 1)
-    t_max = np.round(t_mean + half, 1)
+    days["t_min"] = np.round(t_mean - half, 1)
+    days["t_max"] = np.round(t_mean + half, 1)
 
     zone_wet = math.exp(rng.normal(0.0, cfg.zone_wet_sd))
     wet_prob = np.clip(
         _seasonal(ordinals, cfg.wet_prob_base, cfg.wet_prob_amp, _WET_PEAK), 0.02, 0.98
     )
     wet = rng.random(n) < wet_prob
-    precip = np.round(rng.exponential(cfg.rain_scale_mm, n) * wet * zone_wet, 2)
+    days["precip"] = np.round(rng.exponential(cfg.rain_scale_mm, n) * wet * zone_wet, 2)
 
-    solar = np.round(
+    days["solar"] = np.round(
         np.clip(
             _seasonal(ordinals, cfg.sol_base, cfg.sol_amp, _SOL_PEAK)
             + rng.normal(0.0, cfg.sol_sd, n),
@@ -237,7 +235,7 @@ def gen_weather(zone: int, year: int, cfg: GenConfig, seed: int) -> list[Weather
         ),
         2,
     )
-    humidity = np.round(
+    days["humidity"] = np.round(
         np.clip(
             _seasonal(ordinals, cfg.hum_base, -cfg.hum_amp, _HUM_TROUGH)
             + rng.normal(0.0, cfg.hum_sd, n),
@@ -247,19 +245,7 @@ def gen_weather(zone: int, year: int, cfg: GenConfig, seed: int) -> list[Weather
         1,
     )
 
-    zone_id = cfg.zone_id(zone)
-    return [
-        WeatherDaily(
-            zone_id=zone_id,
-            date=date.fromordinal(int(ordinals[i])),
-            t_min=float(t_min[i]),
-            t_max=float(t_max[i]),
-            precip=float(precip[i]),
-            solar=float(solar[i]),
-            humidity=float(humidity[i]),
-        )
-        for i in range(n)
-    ]
+    return days
 
 
 def _soil_record(
@@ -375,7 +361,7 @@ def zone_roster(year: int, cfg: GenConfig, seed: int) -> list[int]:
 def generate_records(
     cfg: GenConfig,
     feature_params: FeatureParams = DEFAULT_FEATURE_PARAMS,
-) -> tuple[list[SoilRecord], list[WeatherDaily], list[CropRecord]]:
+) -> tuple[list[SoilRecord], np.ndarray, list[CropRecord]]:
     """All records of the synthetic dataset, in deterministic output order
     (soil by zone then year; weather and crop by year then zone)."""
     seed = cfg.seed
@@ -389,36 +375,29 @@ def generate_records(
         tests_by_zone[zone] = tests
         soil.extend(tests)
 
-    weather: list[WeatherDaily] = []
+    weather: list[np.ndarray] = []
     crops: list[CropRecord] = []
     for year in sorted(cfg.years):
         for zone in rosters[year]:
             days = gen_weather(zone, year, cfg, seed)
-            weather.extend(days)
-            sowing = days[0].date
-            buckets = assign_weeks(days, sowing)
-            weekly = {
-                w: weekly_aggregate(bucket, week_index=w) for w, bucket in buckets.items()
-            }
+            weather.append(days)
+            sowing = int(days["day"][0])
+            weekly = window_weeks(days, sowing, feature_params)
             soil_rec = carry_forward_soil(tests_by_zone[zone], cfg.zone_id(zone), year)
             assert soil_rec is not None  # first test precedes every crop year
             features = soil_feature_values(soil_rec)
             y = gen_yield(features, weekly, cfg, seed, zone, year, feature_params)
-            harvest = (
-                sowing
-                + timedelta(days=DAYS_PER_SEASON)
-                + timedelta(days=int(_rng(seed, _CROP, zone, year).integers(0, cfg.harvest_jitter_days + 1)))
-            )
+            jitter = int(_rng(seed, _CROP, zone, year).integers(0, cfg.harvest_jitter_days + 1))
             crops.append(
                 CropRecord(
                     zone_id=cfg.zone_id(zone),
                     year=year,
-                    sowing_date=sowing,
-                    harvest_date=harvest,
+                    sowing_date=date.fromordinal(sowing),
+                    harvest_date=date.fromordinal(sowing + DAYS_PER_SEASON + jitter),
                     yield_t_ha=y,
                 )
             )
-    return soil, weather, crops
+    return soil, np.concatenate(weather) if weather else np.empty(0, WEATHER_DTYPE), crops
 
 
 def gen_dataset(

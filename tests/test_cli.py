@@ -1,7 +1,12 @@
+import csv
+import math
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from wheatyield.cli import main
 from wheatyield.config import ConfigError, load_config
@@ -99,6 +104,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="week"):
             load_config(None, {"features.week_start": "20", "features.week_end": "10"})
 
+    @pytest.mark.parametrize("value", ["0", "8"])
+    def test_min_days_per_week_outside_one_to_seven_rejected(self, value):
+        with pytest.raises(ConfigError, match="min_days_per_week must be in 1..7"):
+            load_config(None, {"features.min_days_per_week": value})
+
+    def test_min_days_per_week_bounds_accepted(self):
+        for value in ("1", "7"):
+            cfg = load_config(None, {"features.min_days_per_week": value})
+            assert cfg.feature_params.min_days_per_week == int(value)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             load_config(None, {"run.seed": "-4"})
@@ -186,6 +201,12 @@ class TestCliPipeline:
         )
         sw = (out / "features_soil_weather.csv").read_text()
         assert f"{crops[0].zone_id},{crops[0].year}," not in sw
+
+    def test_bad_min_days_per_week_is_one_line_diagnostic(self, workdir):
+        (workdir / "run.ini").write_text(TINY_CONFIG + "\n[features]\nmin_days_per_week = 8\n")
+        result = CliRunner().invoke(main, ["features", "--config", "run.ini"])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: [features] min_days_per_week must be in 1..7\n"
 
     def test_features_matrix_error_is_one_line_diagnostic(self, workdir, monkeypatch):
         run_cli("synth", "--config", "run.ini")
@@ -281,3 +302,57 @@ class TestCliPipeline:
         run_cli("evaluate", "--config", "run.ini")
         for name in ("soil.csv", "weather.csv", "crop.csv"):
             assert (workdir / "out" / name).read_bytes() == before[name]
+
+
+# Single-cell corruptions of a small valid input set: the value cells of
+# each file (zone ids and soil categories are free text and excluded).
+VALUE_COLUMNS = {"soil": (1, 2, 3, 4, 5), "weather": (1, 2, 3, 4, 5, 6), "crop": (1, 3, 4, 5)}
+NO_UPPER_BOUND = {("soil", 2), ("soil", 3), ("soil", 4), ("weather", 4), ("weather", 5)}
+BAD_CELLS = ["inf", "-inf", "nan", "1e308", "", "abc", "2012-02-30"]
+FIRST_WINDOW_DAY = 7 * 16  # synth writes 280 days per crop row; weeks 17..40 are the window
+
+
+@pytest.fixture(scope="module")
+def clean_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("clean")
+    (root / "run.ini").write_text(TINY_CONFIG)
+    result = run_cli("synth", "--config", str(root / "run.ini"), "--out", str(root))
+    assert result.exit_code == 0
+    return root
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_single_bad_cell_is_a_logged_row_never_fatal(clean_inputs, data):
+    source = data.draw(st.sampled_from(sorted(VALUE_COLUMNS)))
+    lines = (clean_inputs / f"{source}.csv").read_text().splitlines()
+    line = data.draw(st.integers(2, len(lines)))
+    column = data.draw(st.sampled_from(VALUE_COLUMNS[source]))
+    token = data.draw(st.sampled_from(BAD_CELLS))
+    cells = lines[line - 1].split(",")
+    cells[column] = token
+    lines[line - 1] = ",".join(cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in VALUE_COLUMNS:
+            shutil.copy(clean_inputs / f"{name}.csv", tmp / f"{name}.csv")
+        (tmp / f"{source}.csv").write_text("\n".join(lines) + "\n")
+        (tmp / "run.ini").write_text(TINY_CONFIG + "\n[paths]\n" + "".join(
+            f"{name} = {tmp / name}.csv\n" for name in VALUE_COLUMNS) + f"out = {tmp / 'out'}\n")
+        result = run_cli("features", "--config", str(tmp / "run.ini"))
+        assert result.exit_code == 0, result.output
+        with open(tmp / "out" / "rejections.csv", newline="") as fh:
+            logged = [(Path(src).name, int(n)) for src, n, _ in list(csv.reader(fh))[1:]]
+        skipped = (tmp / "out" / "skipped_instances.csv").read_text()
+        matrix = (tmp / "out" / "features_soil_weather.csv").read_text().splitlines()[1:]
+
+    assert all(math.isfinite(float(v)) for row in matrix for v in row.split(",")[2:])
+    if token == "1e308" and (source, column) in NO_UPPER_BOUND:
+        assert logged == []  # a finite value within its bounds is data
+        return
+    assert logged == [(f"{source}.csv", line)]
+    day = line - 2
+    if source == "weather" and day % 280 >= FIRST_WINDOW_DAY:
+        crop_row = (clean_inputs / "crop.csv").read_text().splitlines()[1 + day // 280]
+        zone, year = crop_row.split(",")[:2]
+        assert f"{zone},{year},missing weeks [{(day % 280) // 7 + 1}]" in skipped

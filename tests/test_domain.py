@@ -1,5 +1,6 @@
 from datetime import date
 
+import numpy as np
 import pytest
 
 from wheatyield.domain import (
@@ -8,11 +9,12 @@ from wheatyield.domain import (
     OrdinalSpec,
     SoilRecord,
     UnknownCategoryError,
+    WEATHER_DTYPE,
     ValidationRanges,
-    WeatherDaily,
     decode_ordinal,
     encode_ordinal,
     validate,
+    weather_rejections,
 )
 
 
@@ -26,13 +28,18 @@ def make_soil(**kwargs) -> SoilRecord:
     return SoilRecord(**base)
 
 
-def make_weather(**kwargs) -> WeatherDaily:
+def make_weather(**kwargs) -> np.ndarray:
+    """A one-row weather table."""
     base = dict(
-        zone_id="Z1", date=date(2017, 3, 2), t_min=1.5, t_max=9.0,
+        zone_id="Z1", day=date(2017, 3, 2).toordinal(), t_min=1.5, t_max=9.0,
         precip=4.2, solar=8.1, humidity=82.0,
     )
     base.update(kwargs)
-    return WeatherDaily(**base)
+    return np.array([tuple(base[name] for name in WEATHER_DTYPE.names)], dtype=WEATHER_DTYPE)
+
+
+def validate_weather(table: np.ndarray):
+    return weather_rejections(table).get(0)
 
 
 def make_crop(**kwargs) -> CropRecord:
@@ -81,7 +88,7 @@ class TestValidate:
         assert validate(make_crop(yield_t_ha=9.36)) is None
 
     def test_humidity_above_100_rejected(self):
-        bad = validate(make_weather(humidity=101.0))
+        bad = validate_weather(make_weather(humidity=101.0))
         assert bad is not None
         assert bad.field_name == "humidity"
         assert bad.value == 101.0
@@ -102,7 +109,7 @@ class TestValidate:
         assert bad is not None and bad.field_name == "soil_type"
 
     def test_tmin_above_tmax_rejected(self):
-        bad = validate(make_weather(t_min=12.0, t_max=8.0))
+        bad = validate_weather(make_weather(t_min=12.0, t_max=8.0))
         assert bad is not None and bad.field_name == "t_min"
 
     def test_sowing_after_harvest_rejected(self):
@@ -118,10 +125,30 @@ class TestValidate:
         assert validate(make_crop(yield_t_ha=19.0), ranges) is None
 
     def test_nan_rejected(self):
-        bad = validate(make_weather(precip=float("nan")))
+        bad = validate_weather(make_weather(precip=float("nan")))
         assert bad is not None and bad.field_name == "precip"
 
     def test_valid_records_pass(self):
         assert validate(make_soil()) is None
-        assert validate(make_weather()) is None
+        assert weather_rejections(make_weather()) == {}
         assert validate(make_crop()) is None
+
+
+class TestWeatherRejections:
+    def test_first_violated_field_wins(self):
+        bad = validate_weather(make_weather(t_min=-70.0, humidity=120.0))
+        assert str(bad) == "t_min=-70.0: below lower bound -60.0"
+
+    def test_bounds_before_tmin_tmax_order(self):
+        bad = validate_weather(make_weather(t_min=12.0, t_max=8.0, solar=float("inf")))
+        assert str(bad) == "solar=inf: not finite"
+        bad = validate_weather(make_weather(t_min=12.0, t_max=8.0))
+        assert str(bad) == "t_min=12.0: exceeds t_max 8.0"
+
+    def test_rows_keyed_by_index(self):
+        table = np.concatenate([make_weather(), make_weather(precip=-1.0), make_weather()])
+        assert list(weather_rejections(table)) == [1]
+
+    def test_custom_ranges(self):
+        ranges = ValidationRanges(humidity=Bound(lo=0.0, hi=120.0))
+        assert weather_rejections(make_weather(humidity=110.0), ranges) == {}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wheatyield.domain import CropRecord, SoilRecord, WeatherDaily
+from wheatyield.domain import CropRecord, SoilRecord
 from wheatyield.evalstat import (
     ExperimentConfig,
     incomplete_beta,

@@ -4,23 +4,27 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from wheatyield.domain import CropRecord, SoilRecord, WeatherDaily, WeeklyWeather
+from wheatyield.domain import WEATHER_DTYPE, CropRecord, SoilRecord, WeeklyWeather
 from wheatyield.features import (
     FeatureParams,
     InstanceRejection,
     MODE_SOIL,
     MODE_SOIL_WEATHER,
-    assign_weeks,
     build_instance,
     build_instances,
     build_matrix,
     feature_names,
     weekly_aggregate,
+    window_weeks,
 )
 
 
 def day(d: date, t_max=10.0, t_min=2.0, precip=1.0, solar=5.0, humidity=80.0, zone="Z1"):
-    return WeatherDaily(zone, d, t_min, t_max, precip, solar, humidity)
+    return (zone, d.toordinal(), t_min, t_max, precip, solar, humidity)
+
+
+def table(days):
+    return np.array(days, dtype=WEATHER_DTYPE)
 
 
 def soil_record():
@@ -33,26 +37,39 @@ def crop_record(year=2018, sowing=date(2017, 10, 1)):
 
 
 class TestAssignWeeks:
+    """Days to sowing-anchored weeks, as ``window_weeks`` assigns them."""
+
+    SOWING = date(2017, 10, 1)
+    FIRST_THREE = FeatureParams(week_start=1, week_end=3, min_days_per_week=1)
+
+    def weeks(self, days, params=FIRST_THREE):
+        return window_weeks(table(days), self.SOWING.toordinal(), params)
+
     def test_sowing_day_is_week_one(self):
-        sowing = date(2017, 10, 1)
-        weeks = assign_weeks([day(sowing)], sowing)
-        assert list(weeks) == [1]
+        assert list(self.weeks([day(self.SOWING)])) == [1]
 
     def test_day_seven_starts_week_two(self):
-        sowing = date(2017, 10, 1)
-        weeks = assign_weeks([day(date(2017, 10, 8))], sowing)
-        assert list(weeks) == [2]
+        assert list(self.weeks([day(date(2017, 10, 8))])) == [2]
 
     def test_pre_sowing_excluded(self):
-        sowing = date(2017, 10, 1)
-        weeks = assign_weeks([day(date(2017, 9, 30))], sowing)
-        assert weeks == {}
+        assert self.weeks([day(date(2017, 9, 30))]) == {}
 
     def test_week_boundaries(self):
-        sowing = date(2017, 10, 1)
-        days = [day(sowing + timedelta(days=i)) for i in range(15)]
-        weeks = assign_weeks(days, sowing)
-        assert [len(weeks[w]) for w in (1, 2, 3)] == [7, 7, 1]
+        days = [day(self.SOWING + timedelta(days=i)) for i in range(15)]
+        weeks = self.weeks(days)
+        assert {w: agg.ap_sum for w, agg in weeks.items()} == {1: 7.0, 2: 7.0, 3: 1.0}
+        assert [agg.week_index for agg in weeks.values()] == [1, 2, 3]
+
+    def test_only_window_weeks_with_enough_days(self):
+        days = [day(self.SOWING + timedelta(days=i)) for i in range(33)]
+        params = FeatureParams(week_start=2, week_end=5, min_days_per_week=6)
+        assert list(self.weeks(days, params)) == [2, 3, 4]
+
+    def test_overflow_names_the_week(self):
+        days = [day(self.SOWING + timedelta(days=i), precip=1e308 if i in (8, 9) else 1.0)
+                for i in range(21)]
+        with pytest.raises(OverflowError, match="overflows in week 2"):
+            self.weeks(days)
 
 
 class TestWeeklyAggregate:
@@ -63,7 +80,7 @@ class TestWeeklyAggregate:
             day(sowing + timedelta(days=i), t_max=hi, t_min=lo)
             for i, (hi, lo) in enumerate(pairs)
         ]
-        agg = weekly_aggregate(days)
+        agg = weekly_aggregate(table(days))
         assert agg.dd_sum == pytest.approx(36.0)
         assert agg.egd_total == 4
         assert agg.t_avg == pytest.approx(35.0 / 7.0)
@@ -71,20 +88,20 @@ class TestWeeklyAggregate:
     def test_all_cold_week_has_zero_egd(self):
         days = [day(date(2017, 1, 1) + timedelta(days=i), t_max=4.0, t_min=0.0)
                 for i in range(7)]
-        assert weekly_aggregate(days).egd_total == 0
+        assert weekly_aggregate(table(days)).egd_total == 0
 
     def test_zero_precip_sums_to_zero(self):
         days = [day(date(2017, 1, 1) + timedelta(days=i), precip=0.0) for i in range(7)]
-        assert weekly_aggregate(days).ap_sum == 0.0
+        assert weekly_aggregate(table(days)).ap_sum == 0.0
 
     def test_empty_bucket_is_error(self):
         with pytest.raises(ValueError):
-            weekly_aggregate([])
+            weekly_aggregate(table([]))
 
     def test_more_than_seven_days_is_error(self):
         days = [day(date(2017, 1, 1) + timedelta(days=i)) for i in range(8)]
         with pytest.raises(ValueError):
-            weekly_aggregate(days)
+            weekly_aggregate(table(days))
 
     def test_permutation_invariant_exactly(self):
         rng = random.Random(7)
@@ -95,15 +112,15 @@ class TestWeeklyAggregate:
                 humidity=rng.uniform(40, 100))
             for i in range(7)
         ]
-        base = weekly_aggregate(days)
+        base = weekly_aggregate(table(days))
         for _ in range(10):
             rng.shuffle(days)
-            assert weekly_aggregate(days) == base
+            assert weekly_aggregate(table(days)) == base
 
     def test_identical_days_week(self):
         days = [day(date(2017, 1, 1) + timedelta(days=i), t_max=12.0, t_min=4.0)
                 for i in range(7)]
-        agg = weekly_aggregate(days)
+        agg = weekly_aggregate(table(days))
         assert agg.t_avg == pytest.approx(8.0)
         assert agg.dd_sum == pytest.approx(7 * 8.0)
 
@@ -111,15 +128,11 @@ class TestWeeklyAggregate:
         rng = random.Random(3)
         for _ in range(50):
             n = rng.randint(1, 7)
-            days = [day(date(2017, 1, 1) + timedelta(days=i),
-                        t_max=rng.uniform(-10, 30), t_min=rng.uniform(-20, 10))
-                    for i in range(n)]
-            days = [
-                d if d.t_min <= d.t_max else
-                day(d.date, t_max=d.t_min, t_min=d.t_max)
-                for d in days
-            ]
-            agg = weekly_aggregate(days)
+            days = []
+            for i in range(n):
+                t_min, t_max = sorted((rng.uniform(-20, 10), rng.uniform(-10, 30)))
+                days.append(day(date(2017, 1, 1) + timedelta(days=i), t_max=t_max, t_min=t_min))
+            agg = weekly_aggregate(table(days))
             assert 0 <= agg.egd_total <= n
             assert agg.dd_sum >= 0.0
 
@@ -228,7 +241,7 @@ class TestBuildInstancesPipeline:
         days = [day(sowing + timedelta(days=i)) for i in range(n_days)]
         crop = CropRecord("Z1", 2018, sowing, sowing + timedelta(days=310), 9.0)
         params = FeatureParams(min_days_per_week=min_days)
-        return build_instances([crop], [soil_record()], days, MODE_SOIL_WEATHER, params)
+        return build_instances([crop], [soil_record()], table(days), MODE_SOIL_WEATHER, params)
 
     def test_full_season_builds(self):
         instances, skipped = self.they(280)
@@ -249,6 +262,18 @@ class TestBuildInstancesPipeline:
         crop = CropRecord("Z1", 2018, sowing, sowing + timedelta(days=310), 9.0)
         old = SoilRecord("Z1", 2019, 25.0, 180.0, 60.0, 6.8,
                          "medium", "low", "moderate", "calc")
-        instances, skipped = build_instances([crop], [old], days, MODE_SOIL_WEATHER)
+        instances, skipped = build_instances([crop], [old], table(days), MODE_SOIL_WEATHER)
         assert instances == []
         assert "soil test" in skipped[0].reason
+
+    def test_row_order_and_other_zones_do_not_matter(self):
+        sowing = date(2017, 10, 1)
+        crop = CropRecord("Z1", 2018, sowing, sowing + timedelta(days=310), 9.0)
+        rng = random.Random(5)
+        days = [day(sowing + timedelta(days=i), precip=rng.uniform(0, 9), zone=zone)
+                for i in range(280) for zone in ("Z1", "Z2")]
+        ours = [d for d in days if d[0] == "Z1"]
+        rng.shuffle(days)
+        mixed, _ = build_instances([crop], [soil_record()], table(days), MODE_SOIL_WEATHER)
+        alone, _ = build_instances([crop], [soil_record()], table(ours), MODE_SOIL_WEATHER)
+        assert mixed == alone and len(mixed) == 1

@@ -1,12 +1,17 @@
+import csv
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wheatyield.domain import SoilRecord
+from wheatyield.domain import DEFAULT_RANGES, WEATHER_DTYPE, WEATHER_FIELDS, Rejection, SoilRecord
 from wheatyield.ingest import (
     SchemaError,
     carry_forward_soil,
     parse_crop,
+    parse_date,
     parse_soil,
     parse_weather,
 )
@@ -95,15 +100,13 @@ class TestParseWeather:
                      ["Z1,2017-03-02,1.5,9.0,4.2,8.1,82.0"])
         records, log = parse_weather(path)
         assert len(records) == 1 and len(log) == 0
-        rec = records[0]
-        assert rec.date == date(2017, 3, 2)
-        assert rec.t_min == 1.5 and rec.humidity == 82.0
+        assert records.tolist() == [("Z1", date(2017, 3, 2).toordinal(), 1.5, 9.0, 4.2, 8.1, 82.0)]
 
     def test_tmin_above_tmax_rejected(self, tmp_path):
         path = write(tmp_path, "weather.csv", WEATHER_HEADER,
                      ["Z1,2017-03-02,12.0,8.0,4.2,8.1,82.0"])
         records, log = parse_weather(path)
-        assert records == [] and len(log) == 1
+        assert len(records) == 0 and len(log) == 1
 
     def test_duplicate_zone_date_second_rejected(self, tmp_path):
         path = write(tmp_path, "weather.csv", WEATHER_HEADER, [
@@ -111,14 +114,110 @@ class TestParseWeather:
             "Z1,2017-03-02,2.0,10.0,0.0,9.0,70.0",
         ])
         records, log = parse_weather(path)
-        assert len(records) == 1 and records[0].t_min == 1.5
+        assert len(records) == 1 and records["t_min"][0] == 1.5
         assert "duplicate" in log.entries[0].reason
 
     def test_bad_date_logged(self, tmp_path):
         path = write(tmp_path, "weather.csv", WEATHER_HEADER,
                      ["Z1,02/03/2017,1.5,9.0,4.2,8.1,82.0"])
         records, log = parse_weather(path)
-        assert records == [] and len(log) == 1
+        assert len(records) == 0 and len(log) == 1
+
+
+class TestIsoDates:
+    @pytest.mark.parametrize("text", ["20121024", "2012-W43-3", "2012-298", "2012-10-24T00:00",
+                                      " 2012-10-24", "2012-10-2", "\uff12012-10-24", ""])
+    def test_only_yyyy_mm_dd_parses(self, text):
+        with pytest.raises(ValueError, match="Invalid isoformat string"):
+            parse_date(text)
+
+    def test_calendar_errors_keep_fromisoformat_text(self):
+        with pytest.raises(ValueError, match="day is out of range for month"):
+            parse_date("2012-02-30")
+        assert parse_date("2012-10-24") == date(2012, 10, 24)
+
+    def test_lenient_iso_spellings_are_rejected_rows(self, tmp_path):
+        weather = write(tmp_path, "weather.csv", WEATHER_HEADER,
+                        ["Z1,20121024,1.5,9.0,4.2,8.1,82.0"])
+        crop = write(tmp_path, "crop.csv", CROP_HEADER,
+                     ["Z1,2013,winter_wheat,2012-W43-3,2013-08-01,9.5"])
+        records, log = parse_weather(weather)
+        assert len(records) == 0
+        assert log.entries[0].reason == "unparseable value: Invalid isoformat string: '20121024'"
+        records, log = parse_crop(crop)
+        assert records == []
+        assert log.entries[0].reason == "unparseable value: Invalid isoformat string: '2012-W43-3'"
+
+
+def reference_parse_weather(path):
+    """Row-at-a-time parser: width, then parse, then each field's bound in
+    field order, then t_min <= t_max, then first-wins (zone_id, date)."""
+    accepted, log, seen = [], [], set()
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 7:
+                log.append((lineno, f"expected 7 fields, got {len(row)}"))
+                continue
+            try:
+                day = parse_date(row[1])
+                values = [float(text) for text in row[2:]]
+            except ValueError as exc:
+                log.append((lineno, f"unparseable value: {exc}"))
+                continue
+            bad = None
+            for name, value in zip(WEATHER_FIELDS, values):
+                bad = getattr(DEFAULT_RANGES, name).check(name, value)
+                if bad is not None:
+                    break
+            if bad is None and values[0] > values[1]:
+                bad = Rejection("t_min", values[0], f"exceeds t_max {values[1]}")
+            if bad is not None:
+                log.append((lineno, str(bad)))
+                continue
+            if (row[0], day) in seen:
+                log.append((lineno, f"duplicate weather for zone {row[0]} on {day}"))
+                continue
+            seen.add((row[0], day))
+            accepted.append((row[0], day.toordinal(), *values))
+    return accepted, log
+
+
+CELL = st.sampled_from(["-60.5", "-60", "-3.5", "0", "0.0", "2.25", "9.3", "60", "99.9",
+                        "100", "100.5"])
+BAD_TOKENS = ["inf", "-inf", "nan", "1e308", "", "abc", "2012-02-30", "2012-13-01",
+              "2012/10/24", "20121024", "2012-W43-3"]
+WEATHER_ROW = st.tuples(st.sampled_from(["Z1", "Z2"]), st.integers(1, 6),
+                        *[CELL] * 5).map(lambda r: [r[0], f"2012-10-0{r[1]}", *r[2:]])
+EDIT = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 99), st.integers(1, 6), st.sampled_from(BAD_TOKENS)),
+    st.tuples(st.just("copy"), st.integers(0, 99)),
+    st.tuples(st.just("width"), st.integers(0, 99), st.booleans()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(WEATHER_ROW, min_size=1, max_size=25), edits=st.lists(EDIT, max_size=12))
+def test_parse_weather_matches_row_at_a_time_reference(rows, edits):
+    for edit in edits:
+        row = rows[edit[1] % len(rows)]
+        if edit[0] == "cell":
+            row[edit[2] % len(row)] = edit[3]
+        elif edit[0] == "copy":
+            rows.append(list(row))
+        else:
+            row[:] = row + ["1.0"] if edit[2] else row[:-1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "weather.csv"
+        path.write_text("\n".join([WEATHER_HEADER] + [",".join(r) for r in rows]) + "\n")
+        table, log = parse_weather(path)
+        want_rows, want_log = reference_parse_weather(path)
+    assert table.dtype == WEATHER_DTYPE
+    assert table.tolist() == want_rows
+    assert [(e.source, e.line, e.reason) for e in log.entries] == [
+        (str(path), line, reason) for line, reason in want_log
+    ]
 
 
 class TestParseCrop:
@@ -199,7 +298,7 @@ def test_cleaned_output_round_trips_losslessly(tmp_path):
     write_weather_csv(records, out)
     reparsed, log = parse_weather(out)
     assert len(log) == 0
-    assert reparsed == records
+    assert reparsed.tolist() == records.tolist()
 
 
 def test_rejection_log_csv_schema(tmp_path):

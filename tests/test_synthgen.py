@@ -1,15 +1,10 @@
-from datetime import timedelta
+from datetime import date
 
 import numpy as np
 import pytest
 
-from wheatyield.domain import validate
-from wheatyield.features import (
-    DEFAULT_FEATURE_PARAMS,
-    assign_weeks,
-    soil_feature_values,
-    weekly_aggregate,
-)
+from wheatyield.domain import WEATHER_DTYPE, validate, weather_rejections
+from wheatyield.features import soil_feature_values, window_weeks
 from wheatyield.ingest import parse_crop, parse_soil, parse_weather
 from wheatyield.synthgen import (
     DAYS_PER_SEASON,
@@ -33,45 +28,45 @@ SMALL = GenConfig(
 
 
 def weekly_from_days(days):
-    buckets = assign_weeks(days, days[0].date)
-    return {w: weekly_aggregate(b, w) for w, b in buckets.items()}
+    return window_weeks(days, int(days["day"][0]))
 
 
 class TestGenWeather:
     def test_covers_full_season(self):
         days = gen_weather(3, 2017, SMALL, seed=5)
         assert len(days) == DAYS_PER_SEASON
-        assert days[0].date == gen_sowing(3, 2017, SMALL, seed=5)
-        assert (days[-1].date - days[0].date).days == DAYS_PER_SEASON - 1
+        assert days["day"][0] == gen_sowing(3, 2017, SMALL, seed=5).toordinal()
+        assert np.array_equal(np.diff(days["day"]), np.ones(DAYS_PER_SEASON - 1))
+        assert set(days["zone_id"]) == {SMALL.zone_id(3)}
 
     def test_records_pass_validation(self):
-        for day in gen_weather(1, 2018, SMALL, seed=5):
-            assert validate(day) is None
+        assert weather_rejections(gen_weather(1, 2018, SMALL, seed=5)) == {}
 
     def test_tmin_strictly_below_tmax(self):
-        for day in gen_weather(2, 2016, SMALL, seed=5):
-            assert day.t_min < day.t_max
+        days = gen_weather(2, 2016, SMALL, seed=5)
+        assert (days["t_min"] < days["t_max"]).all()
 
     def test_humidity_clipped(self):
         humid = GenConfig(years=SMALL.years, zone_pool=20, hum_base=97.0, hum_sd=9.0)
-        values = [d.humidity for d in gen_weather(0, 2017, humid, seed=1)]
+        values = gen_weather(0, 2017, humid, seed=1)["humidity"]
         assert max(values) <= 100.0 and min(values) >= 0.0
 
     def test_deterministic(self):
         a = gen_weather(4, 2018, SMALL, seed=9)
         b = gen_weather(4, 2018, SMALL, seed=9)
-        assert a == b
+        assert a.tolist() == b.tolist()
 
     def test_summer_warmer_than_winter_in_expectation(self):
         # Monte Carlo across many zone-seasons: July daily means minus
         # January daily means under the configured sinusoid
         july, january = [], []
         for zone in range(25):
-            for day in gen_weather(zone, 2017, SMALL, seed=3):
-                mean = (day.t_max + day.t_min) / 2
-                if day.date.month == 7:
+            for _, day, t_min, t_max, _, _, _ in gen_weather(zone, 2017, SMALL, seed=3).tolist():
+                mean = (t_max + t_min) / 2
+                month = date.fromordinal(day).month
+                if month == 7:
                     july.append(mean)
-                elif day.date.month == 1:
+                elif month == 1:
                     january.append(mean)
         assert len(july) > 250 and len(january) > 400
         assert np.mean(july) > np.mean(january) + 8.0
@@ -145,6 +140,13 @@ class TestGenerateRecords:
         assert len(weather) == 32 * DAYS_PER_SEASON
         assert len(soil) >= 1
 
+    def test_weather_is_one_table_with_one_str_per_zone(self):
+        _, weather, crops = generate_records(SMALL)
+        assert weather.dtype == WEATHER_DTYPE
+        zones = {c.zone_id for c in crops}
+        assert set(weather["zone_id"]) == zones
+        assert len({id(z) for z in weather["zone_id"]}) == len(zones)
+
     def test_single_zone_year_counts(self):
         cfg = GenConfig(years={2018: YearSpec(1, 9.4, 1.7)}, zone_pool=1, seed=1)
         soil, weather, crops = generate_records(cfg)
@@ -166,8 +168,7 @@ class TestGenerateRecords:
         soil, weather, crops = generate_records(SMALL)
         for rec in soil[:50] + crops[:50]:
             assert validate(rec) is None
-        for rec in weather[:500]:
-            assert validate(rec) is None
+        assert weather_rejections(weather) == {}
 
     def test_at_least_one_zone_year_needs_carry_forward(self):
         soil, _, crops = generate_records(SMALL)
@@ -196,7 +197,7 @@ class TestGenDataset:
         parsed_weather, _ = parse_weather(paths["weather"])
         parsed_crops, _ = parse_crop(paths["crop"])
         assert parsed_soil == soil
-        assert parsed_weather == weather
+        assert parsed_weather.tolist() == weather.tolist()
         assert parsed_crops == crops
 
     def test_regeneration_is_byte_identical(self, tmp_path):
