@@ -9,6 +9,7 @@ directory, and is idempotent for a fixed config and seed.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -75,7 +76,7 @@ def _build_instances(cfg: RunConfig, mode: str):
     soil, weather, crops, log = _ingest_all(cfg)
     internal = "soil_weather" if mode in ("both", "soil_weather") else "soil_only"
     instances, skipped = features.build_instances(
-        crops, soil, weather, internal, cfg.feature_params, cfg.ordinals
+        crops, soil, weather, internal, cfg.experiment.feature_params, cfg.ordinals
     )
     return instances, skipped, log
 
@@ -97,7 +98,10 @@ def synth(**kwargs) -> None:
     """Generate the synthetic soil/weather/crop CSV files."""
     cfg = _load(**kwargs)
     out = _out(cfg)
-    paths = synthgen.gen_dataset(cfg.gen, out, cfg.feature_params)
+    try:
+        paths = synthgen.gen_dataset(cfg.gen, out, cfg.experiment.feature_params)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     for name, path in paths.items():
         click.echo(f"wrote {name}: {path}")
 
@@ -126,15 +130,14 @@ def features_cmd(**kwargs) -> None:
     """Build instances and dump feature matrices as CSV."""
     cfg = _load(**kwargs)
     out = _out(cfg)
-    instances, skipped, log = _build_instances(cfg, cfg.mode)
+    exp = cfg.experiment
+    instances, skipped, log = _build_instances(cfg, exp.mode)
     log.write_csv(out / "rejections.csv")
     _write_skipped(skipped, out)
-    wanted = (
-        ("soil_only", "soil_weather") if cfg.mode == "both" else (cfg.internal_mode,)
-    )
+    wanted = ("soil_only", "soil_weather") if exp.mode == "both" else (exp.mode,)
     for mode in wanted:
         try:
-            matrix = features.build_matrix(instances, mode, cfg.feature_params)
+            matrix = features.build_matrix(instances, mode, exp.feature_params)
         except ValueError as exc:
             raise click.ClickException(str(exc)) from exc
         name = "features_soil.csv" if mode == "soil_only" else "features_soil_weather.csv"
@@ -144,25 +147,11 @@ def features_cmd(**kwargs) -> None:
         click.echo(f"skipped {len(skipped)} zone-years (see skipped_instances.csv)")
 
 
-def _run_experiment(cfg: RunConfig, force_both: bool = False) -> evalstat.Report:
-    mode = "both" if force_both else cfg.mode
-    instances, skipped, log = _build_instances(cfg, mode)
+def _run_experiment(cfg: RunConfig, exp: evalstat.ExperimentConfig) -> evalstat.Report:
+    instances, skipped, log = _build_instances(cfg, exp.mode)
     out = _out(cfg)
     log.write_csv(out / "rejections.csv")
     _write_skipped(skipped, out)
-    exp = evalstat.ExperimentConfig(
-        models=list(cfg.models),
-        model_params=cfg.model_params,
-        test_year=cfg.test_year,
-        train_start=cfg.train_start,
-        train_end=cfg.train_end,
-        seed=cfg.seed,
-        mode="both" if mode == "both" else cfg.internal_mode,
-        paired_alternative=cfg.paired_alternative,
-        feature_params=cfg.feature_params,
-        n_jobs=cfg.jobs,
-        config_digest=cfg.digest,
-    )
     try:
         return evalstat.run_experiment(instances, exp)
     except ValueError as exc:
@@ -176,7 +165,7 @@ def evaluate(**kwargs) -> None:
     mae_chart.svg."""
     cfg = _load(**kwargs)
     out = _out(cfg)
-    report = _run_experiment(cfg)
+    report = _run_experiment(cfg, cfg.experiment)
     reporting.write_report_csv(report, out / "report.csv")
     reporting.write_report_txt(report, out / "report.txt")
     reporting.write_mae_chart_svg(report, out / "mae_chart.svg")
@@ -189,7 +178,7 @@ def compare(**kwargs) -> None:
     """Paired soil vs. soil+weather comparison, appended to the report."""
     cfg = _load(**kwargs)
     out = _out(cfg)
-    report = _run_experiment(cfg, force_both=True)
+    report = _run_experiment(cfg, replace(cfg.experiment, mode="both"))
     reporting.append_compare_txt(report, out / "report.txt")
     (out / "compare.csv").write_text(reporting.compare_csv(report))
     click.echo(reporting.compare_text(report).rstrip())

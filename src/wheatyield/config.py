@@ -4,19 +4,25 @@ One INI-style file (sections of key = value lines) restates a whole
 experiment; command-line flags override individual values. Unknown
 sections or keys are fatal so typos cannot silently fall back to
 defaults. Every key has a documented default (see README).
+
+The keys, types and defaults of [validation], [ordinals], [features],
+[synth] and [model.<kind>] are those of the dataclass fields they set, so
+a default is changed on the dataclass. Only [paths], [run] and
+[experiment] are spelled out here.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .domain import Bound, OrdinalSpec, ValidationRanges
-from .features import FeatureParams
+from .domain import DEFAULT_ORDINAL_ORDERS, DEFAULT_RANGES, Bound, OrdinalSpec, ValidationRanges
+from .evalstat import ExperimentConfig
+from .features import DEFAULT_FEATURE_PARAMS, FeatureParams
 from .learners import MODEL_KINDS, ModelParams
-from .synthgen import DEFAULT_SOIL_COEFS, DEFAULT_YEARS, GenConfig, YearSpec
+from .synthgen import GenConfig, YearSpec
 
 MODES = ("soil", "soil_weather", "both")
 
@@ -25,96 +31,6 @@ _MODE_TO_INTERNAL = {"soil": "soil_only", "soil_weather": "soil_weather", "both"
 
 class ConfigError(ValueError):
     """Bad configuration file or overrides."""
-
-
-DEFAULT_MODELS = (
-    "decision_tree",
-    "svr",
-    "random_forest",
-    "extra_trees",
-    "hist_gradient_boosting",
-    "gradient_boosting",
-)
-
-# section -> key -> default (stored as strings, parsed on assembly)
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "paths": {
-        "soil": "out/soil.csv",
-        "weather": "out/weather.csv",
-        "crop": "out/crop.csv",
-        "out": "out",
-    },
-    "run": {
-        "seed": "0",
-        "mode": "both",
-        "test_year": "2018",
-        "train_start": "2013",
-        "train_end": "2017",
-        "jobs": "1",
-        "models": ",".join(DEFAULT_MODELS),
-    },
-    "experiment": {
-        "paired_alternative": "b_less_than_a",
-    },
-    "validation": {
-        "p_min": "0", "p_max": "none",
-        "k_min": "0", "k_max": "none",
-        "mg_min": "0", "mg_max": "none",
-        "ph_min": "0", "ph_max": "14",
-        "t_min_min": "-60", "t_min_max": "60",
-        "t_max_min": "-60", "t_max_max": "60",
-        "precip_min": "0", "precip_max": "none",
-        "solar_min": "0", "solar_max": "none",
-        "humidity_min": "0", "humidity_max": "100",
-        "yield_min": "1", "yield_max": "18",
-    },
-    "ordinals": {
-        "soil_type": "shallow,medium,deep clay,deep fertile",
-        "stone_content": "stoneless,low,moderate,high,gravel",
-        "organic_matter": "low,moderate,very high",
-        "caco3": "potentially acidic,slightly calc,calc,extremely calc",
-    },
-    "features": {
-        "week_start": "17",
-        "week_end": "40",
-        "min_days_per_week": "7",
-    },
-    "synth": {
-        "years": ",".join(
-            f"{y}:{s.zones}:{s.yield_mean}:{s.yield_std}" for y, s in DEFAULT_YEARS.items()
-        ),
-        "zone_pool": "420",
-        "sow_month": "9",
-        "sow_day": "20",
-        "sow_window_days": "30",
-        "harvest_jitter_days": "13",
-        "t_base": "9.5", "t_amp": "6.5", "t_zone_sd": "0.8", "t_daily_sd": "1.6",
-        "t_halfrange": "3.2", "t_halfrange_sd": "0.7", "t_halfrange_min": "0.6",
-        "wet_prob_base": "0.45", "wet_prob_amp": "0.1",
-        "rain_scale_mm": "4.5", "zone_wet_sd": "0.18",
-        "sol_base": "10.5", "sol_amp": "8.5", "sol_sd": "2.5",
-        "hum_base": "80", "hum_amp": "8", "hum_sd": "5",
-        "p_median": "30", "p_sigma": "0.35",
-        "k_median": "185", "k_sigma": "0.3",
-        "mg_median": "85", "mg_sigma": "0.4",
-        "ph_mean": "6.9", "ph_sd": "0.55", "ph_lo": "3.5", "ph_hi": "9.5",
-        "nutrient_drift_sigma": "0.08", "ph_drift_sd": "0.15",
-        "test_first_lo": "2009", "test_first_hi": "2012",
-        "soil_weight": "0.45",
-        "weather_weight": "1.25",
-        "noise_floor": "0.25",
-        "dd_opt": "1732", "dd_scale": "298",
-        "ap_opt": "350", "ap_scale": "154",
-        "soil_term_mean": "3.146", "soil_term_std": "0.349",
-        "score_mean": "0.576", "score_std": "0.273",
-    },
-}
-
-_MODEL_KEYS = (
-    "max_depth", "min_samples_leaf", "n_estimators", "learning_rate", "subsample",
-    "max_features", "bootstrap", "n_bins", "max_leaves",
-    "svr_epsilon", "svr_c", "svr_iterations", "svr_step_size", "seed",
-)
 
 
 def _parse_int(section: str, key: str, value: str) -> int:
@@ -150,6 +66,90 @@ def _parse_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
+_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool}
+
+
+def _parse(section: str, key: str, text: str, annotation: str):
+    """Parse a value by the annotation of the field it sets.
+
+    Annotations are strings: every module postpones their evaluation.
+    """
+    if annotation.endswith(" | None"):
+        return _parse_opt(section, key, text, _PARSERS[annotation.removesuffix(" | None")])
+    return _PARSERS[annotation](section, key, text)
+
+
+def _text(value) -> str:
+    """A default as a config file spells it."""
+    if value is None:
+        return "none"
+    if isinstance(value, float):
+        return repr(value).removesuffix(".0")
+    return str(value)
+
+
+def _scalar_fields(cls, exclude: tuple[str, ...] = ()) -> dict[str, str]:
+    """Name -> annotation of the int/float/bool (or optional) fields of cls."""
+    return {
+        f.name: f.type for f in fields(cls)
+        if f.type.removesuffix(" | None") in _PARSERS and f.name not in exclude
+    }
+
+
+_GEN = GenConfig()
+# seed and the yield clamp come from [run] seed and [validation] yield_*
+_SYNTH_TYPES = _scalar_fields(GenConfig, exclude=("seed", "yield_lo", "yield_hi"))
+_FEATURE_TYPES = _scalar_fields(FeatureParams)
+_MODEL_TYPES = _scalar_fields(ModelParams)
+# [validation] key prefix -> ValidationRanges field; a key drops the unit suffix
+_BOUNDS = {f.name.removesuffix("_t_ha"): f.name for f in fields(ValidationRanges)}
+_SIDES = {"min": "lo", "max": "hi"}
+
+# section -> key -> default (stored as strings, parsed on assembly)
+_DEFAULTS: dict[str, dict[str, str]] = {
+    "paths": {
+        "soil": "out/soil.csv",
+        "weather": "out/weather.csv",
+        "crop": "out/crop.csv",
+        "out": "out",
+    },
+    "run": {
+        "seed": "0",
+        "mode": "both",
+        "test_year": "2018",
+        "train_start": "2013",
+        "train_end": "2017",
+        "jobs": "1",
+        "models": "decision_tree,svr,random_forest,extra_trees,hist_gradient_boosting,"
+                  "gradient_boosting",
+    },
+    "experiment": {
+        "paired_alternative": "b_less_than_a",
+    },
+    "validation": {
+        f"{prefix}_{side}": _text(getattr(getattr(DEFAULT_RANGES, name), attr))
+        for prefix, name in _BOUNDS.items()
+        for side, attr in _SIDES.items()
+    },
+    "ordinals": {name: ",".join(order) for name, order in DEFAULT_ORDINAL_ORDERS.items()},
+    "features": {key: _text(getattr(DEFAULT_FEATURE_PARAMS, key)) for key in _FEATURE_TYPES},
+    "synth": {
+        "years": ",".join(
+            f"{y}:{s.zones}:{s.yield_mean}:{s.yield_std}" for y, s in _GEN.years.items()
+        ),
+        **{key: _text(getattr(_GEN, key)) for key in _SYNTH_TYPES},
+    },
+}
+
+
+def _fields_from(section: str, values: dict[str, str], types: dict[str, str]) -> dict:
+    """Parsed keyword arguments for the typed keys of a merged section."""
+    return {
+        key: _parse(section, key, text, types[key])
+        for key, text in values.items() if key in types
+    }
+
+
 @dataclass
 class RunConfig:
     """Fully resolved configuration for every CLI command."""
@@ -158,24 +158,10 @@ class RunConfig:
     weather_path: str
     crop_path: str
     out_dir: str
-    seed: int
-    mode: str  # soil | soil_weather | both
-    test_year: int
-    train_start: int | None
-    train_end: int | None
-    jobs: int
-    models: list[str]
-    paired_alternative: str
     ranges: ValidationRanges
     ordinals: OrdinalSpec
-    feature_params: FeatureParams
-    model_params: dict[str, ModelParams]
     gen: GenConfig
-    digest: str = ""
-
-    @property
-    def internal_mode(self) -> str:
-        return _MODE_TO_INTERNAL[self.mode]
+    experiment: ExperimentConfig
 
 
 def _merged_mapping(path: str | Path | None, overrides: dict[str, str]) -> dict[str, dict[str, str]]:
@@ -187,6 +173,15 @@ def _merged_mapping(path: str | Path | None, overrides: dict[str, str]) -> dict[
     for kind in MODEL_KINDS:
         merged[f"model.{kind}"] = {}
 
+    def put(section: str, items) -> None:
+        if section not in merged:
+            raise ConfigError(f"unknown config section [{section}]")
+        allowed = _MODEL_TYPES if section.startswith("model.") else _DEFAULTS[section]
+        for key, value in items:
+            if key not in allowed:
+                raise ConfigError(f"unknown config key [{section}] {key}")
+            merged[section][key] = value
+
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str  # keys are case-sensitive
@@ -194,24 +189,13 @@ def _merged_mapping(path: str | Path | None, overrides: dict[str, str]) -> dict[
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():
-            if section not in merged:
-                raise ConfigError(f"unknown config section [{section}]")
-            allowed = _MODEL_KEYS if section.startswith("model.") else _DEFAULTS[section]
-            for key, value in parser.items(section):
-                if key not in allowed:
-                    raise ConfigError(f"unknown config key [{section}] {key}")
-                merged[section][key] = value
+            put(section, parser.items(section))
 
     for dotted, value in overrides.items():
         if "." not in dotted:
             raise ConfigError(f"override {dotted!r} must be section.key")
         section, key = dotted.rsplit(".", 1)
-        if section not in merged:
-            raise ConfigError(f"unknown config section [{section}]")
-        allowed = _MODEL_KEYS if section.startswith("model.") else _DEFAULTS[section]
-        if key not in allowed:
-            raise ConfigError(f"unknown config key [{section}] {key}")
-        merged[section][key] = str(value)
+        put(section, [(key, str(value))])
     return merged
 
 
@@ -228,17 +212,14 @@ def _digest(merged: dict[str, dict[str, str]]) -> str:
 
 
 def _build_ranges(values: dict[str, str]) -> ValidationRanges:
-    def bound(name: str) -> Bound:
-        lo = _parse_opt("validation", f"{name}_min", values[f"{name}_min"], _parse_float)
-        hi = _parse_opt("validation", f"{name}_max", values[f"{name}_max"], _parse_float)
+    def bound(prefix: str) -> Bound:
+        lo, hi = (
+            _parse_opt("validation", f"{prefix}_{side}", values[f"{prefix}_{side}"], _parse_float)
+            for side in _SIDES
+        )
         return Bound(lo=lo, hi=hi)
 
-    return ValidationRanges(
-        p=bound("p"), k=bound("k"), mg=bound("mg"), ph=bound("ph"),
-        t_min=bound("t_min"), t_max=bound("t_max"),
-        precip=bound("precip"), solar=bound("solar"), humidity=bound("humidity"),
-        yield_t_ha=bound("yield"),
-    )
+    return ValidationRanges(**{name: bound(prefix) for prefix, name in _BOUNDS.items()})
 
 
 def _build_years(section_value: str) -> dict[int, YearSpec]:
@@ -261,60 +242,20 @@ def _build_years(section_value: str) -> dict[int, YearSpec]:
 
 
 def _build_gen(values: dict[str, str], seed: int, yield_bound: Bound) -> GenConfig:
-    f = lambda key: _parse_float("synth", key, values[key])  # noqa: E731
-    i = lambda key: _parse_int("synth", key, values[key])  # noqa: E731
+    # an unbounded yield side keeps the generator's own clamp
+    clamp = {"yield_lo": yield_bound.lo, "yield_hi": yield_bound.hi}
     return GenConfig(
-        years=_build_years(values["years"]),
-        seed=seed,
-        zone_pool=i("zone_pool"),
-        sow_month=i("sow_month"), sow_day=i("sow_day"),
-        sow_window_days=i("sow_window_days"),
-        harvest_jitter_days=i("harvest_jitter_days"),
-        t_base=f("t_base"), t_amp=f("t_amp"), t_zone_sd=f("t_zone_sd"),
-        t_daily_sd=f("t_daily_sd"), t_halfrange=f("t_halfrange"),
-        t_halfrange_sd=f("t_halfrange_sd"), t_halfrange_min=f("t_halfrange_min"),
-        wet_prob_base=f("wet_prob_base"), wet_prob_amp=f("wet_prob_amp"),
-        rain_scale_mm=f("rain_scale_mm"), zone_wet_sd=f("zone_wet_sd"),
-        sol_base=f("sol_base"), sol_amp=f("sol_amp"), sol_sd=f("sol_sd"),
-        hum_base=f("hum_base"), hum_amp=f("hum_amp"), hum_sd=f("hum_sd"),
-        p_median=f("p_median"), p_sigma=f("p_sigma"),
-        k_median=f("k_median"), k_sigma=f("k_sigma"),
-        mg_median=f("mg_median"), mg_sigma=f("mg_sigma"),
-        ph_mean=f("ph_mean"), ph_sd=f("ph_sd"), ph_lo=f("ph_lo"), ph_hi=f("ph_hi"),
-        nutrient_drift_sigma=f("nutrient_drift_sigma"), ph_drift_sd=f("ph_drift_sd"),
-        test_first_lo=i("test_first_lo"), test_first_hi=i("test_first_hi"),
-        soil_coefs=dict(DEFAULT_SOIL_COEFS),
-        soil_weight=f("soil_weight"), weather_weight=f("weather_weight"),
-        noise_floor=f("noise_floor"),
-        yield_lo=yield_bound.lo if yield_bound.lo is not None else 1.0,
-        yield_hi=yield_bound.hi if yield_bound.hi is not None else 18.0,
-        dd_opt=f("dd_opt"), dd_scale=f("dd_scale"),
-        ap_opt=f("ap_opt"), ap_scale=f("ap_scale"),
-        soil_term_mean=f("soil_term_mean"), soil_term_std=f("soil_term_std"),
-        score_mean=f("score_mean"), score_std=f("score_std"),
+        years=_build_years(values["years"]), seed=seed,
+        **{key: value for key, value in clamp.items() if value is not None},
+        **_fields_from("synth", values, _SYNTH_TYPES),
     )
 
 
-def _build_model_params(
-    kind: str, overrides: dict[str, str], run_seed: int
-) -> ModelParams:
-    base = ModelParams(seed=run_seed)
-    kwargs = {}
+def _build_model_params(kind: str, values: dict[str, str], run_seed: int) -> ModelParams:
     section = f"model.{kind}"
-    for key, value in overrides.items():
-        if key == "max_depth" or key == "max_features":
-            kwargs[key] = _parse_opt(section, key, value, _parse_int)
-        elif key in ("min_samples_leaf", "n_estimators", "n_bins", "max_leaves",
-                     "svr_iterations", "seed"):
-            kwargs[key] = _parse_int(section, key, value)
-        elif key in ("learning_rate", "subsample", "svr_epsilon", "svr_c", "svr_step_size"):
-            kwargs[key] = _parse_float(section, key, value)
-        elif key == "bootstrap":
-            kwargs[key] = _parse_bool(section, key, value)
-        else:
-            raise ConfigError(f"unknown config key [{section}] {key}")
+    kwargs = {"seed": run_seed, **_fields_from(section, values, _MODEL_TYPES)}
     try:
-        return base.with_(**kwargs)
+        return ModelParams(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"[{section}]: {exc}") from None
 
@@ -333,9 +274,11 @@ def load_config(
     if mode not in MODES:
         raise ConfigError(f"[run] mode must be one of {MODES}, got {mode!r}")
     models = _parse_list(run["models"])
-    for kind in models:
+    for i, kind in enumerate(models):
         if kind not in MODEL_KINDS:
             raise ConfigError(f"[run] models: unknown model kind {kind!r}")
+        if kind in models[:i]:
+            raise ConfigError(f"[run] models: duplicate model kind {kind!r}")
 
     alternative = merged["experiment"]["paired_alternative"].strip()
     if alternative not in ("b_less_than_a", "a_less_than_b"):
@@ -345,17 +288,9 @@ def load_config(
 
     ranges = _build_ranges(merged["validation"])
     ordinals = OrdinalSpec(
-        orders={
-            name: tuple(_parse_list(merged["ordinals"][name]))
-            for name in ("soil_type", "stone_content", "organic_matter", "caco3")
-        }
+        orders={name: tuple(_parse_list(text)) for name, text in merged["ordinals"].items()}
     )
-    feats = merged["features"]
-    feature_params = FeatureParams(
-        week_start=_parse_int("features", "week_start", feats["week_start"]),
-        week_end=_parse_int("features", "week_end", feats["week_end"]),
-        min_days_per_week=_parse_int("features", "min_days_per_week", feats["min_days_per_week"]),
-    )
+    feature_params = FeatureParams(**_fields_from("features", merged["features"], _FEATURE_TYPES))
     if feature_params.week_start < 1 or feature_params.week_end < feature_params.week_start:
         raise ConfigError("[features] week window must satisfy 1 <= week_start <= week_end")
     if not 1 <= feature_params.min_days_per_week <= 7:
@@ -366,23 +301,26 @@ def load_config(
         for kind in MODEL_KINDS
     }
 
+    experiment = ExperimentConfig(
+        models=models,
+        model_params=model_params,
+        test_year=_parse_int("run", "test_year", run["test_year"]),
+        train_start=_parse_opt("run", "train_start", run["train_start"], _parse_int),
+        train_end=_parse_opt("run", "train_end", run["train_end"], _parse_int),
+        seed=seed,
+        mode=_MODE_TO_INTERNAL[mode],
+        paired_alternative=alternative,
+        feature_params=feature_params,
+        n_jobs=max(1, _parse_int("run", "jobs", run["jobs"])),
+        config_digest=_digest(merged),
+    )
     return RunConfig(
         soil_path=merged["paths"]["soil"],
         weather_path=merged["paths"]["weather"],
         crop_path=merged["paths"]["crop"],
         out_dir=merged["paths"]["out"],
-        seed=seed,
-        mode=mode,
-        test_year=_parse_int("run", "test_year", run["test_year"]),
-        train_start=_parse_opt("run", "train_start", run["train_start"], _parse_int),
-        train_end=_parse_opt("run", "train_end", run["train_end"], _parse_int),
-        jobs=max(1, _parse_int("run", "jobs", run["jobs"])),
-        models=models,
-        paired_alternative=alternative,
         ranges=ranges,
         ordinals=ordinals,
-        feature_params=feature_params,
-        model_params=model_params,
         gen=_build_gen(merged["synth"], seed, ranges.yield_t_ha),
-        digest=_digest(merged),
+        experiment=experiment,
     )

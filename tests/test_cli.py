@@ -1,7 +1,9 @@
 import csv
 import math
+import re
 import shutil
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from wheatyield.cli import main
-from wheatyield.config import ConfigError, load_config
+from wheatyield.config import _DEFAULTS, ConfigError, load_config
+from wheatyield.learners import ModelParams
 from wheatyield.ingest import carry_forward_soil, parse_crop, parse_soil
 
 TINY_CONFIG = """\
@@ -46,12 +49,28 @@ def run_cli(*args):
     return CliRunner().invoke(main, list(args), catch_exceptions=False)
 
 
+def readme_config() -> dict[str, dict[str, str]]:
+    """section -> key -> default of the README's Configuration ini block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    sections: dict[str, dict[str, str]] = {}
+    for line in block.splitlines():
+        line = line.split(";", 1)[0].strip()
+        if line.startswith("["):
+            current = sections.setdefault(line.strip("[]"), {})
+        elif line:
+            # [validation] puts a min and a max key on one line
+            parts = re.split(r"\s*(\w+) = ", line)[1:]
+            current.update(zip(parts[::2], (value.strip() for value in parts[1::2])))
+    return sections
+
+
 class TestConfig:
     def test_defaults_load_without_file(self):
         cfg = load_config()
-        assert cfg.test_year == 2018
-        assert cfg.mode == "both"
-        assert len(cfg.models) == 6
+        assert cfg.experiment.test_year == 2018
+        assert cfg.experiment.mode == "both"
+        assert len(cfg.experiment.models) == 6
 
     def test_unknown_key_is_fatal(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -69,18 +88,18 @@ class TestConfig:
         path = tmp_path / "run.ini"
         path.write_text("[run]\nseed = 3\n")
         cfg = load_config(path, {"run.seed": "9"})
-        assert cfg.seed == 9
+        assert cfg.experiment.seed == 9
 
     def test_digest_tracks_content(self, tmp_path):
         a = load_config(None, {"run.seed": "1"})
         b = load_config(None, {"run.seed": "2"})
-        assert a.digest != b.digest
+        assert a.experiment.config_digest != b.experiment.config_digest
 
     def test_model_sections_feed_params(self, workdir):
         cfg = load_config("run.ini")
-        assert cfg.model_params["decision_tree"].max_depth == 4
-        assert cfg.model_params["random_forest"].n_estimators == 12
-        assert cfg.model_params["random_forest"].seed == 11
+        assert cfg.experiment.model_params["decision_tree"].max_depth == 4
+        assert cfg.experiment.model_params["random_forest"].n_estimators == 12
+        assert cfg.experiment.model_params["random_forest"].seed == 11
 
     def test_bad_model_value_reports_section(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -112,7 +131,7 @@ class TestConfig:
     def test_min_days_per_week_bounds_accepted(self):
         for value in ("1", "7"):
             cfg = load_config(None, {"features.min_days_per_week": value})
-            assert cfg.feature_params.min_days_per_week == int(value)
+            assert cfg.experiment.feature_params.min_days_per_week == int(value)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -121,6 +140,30 @@ class TestConfig:
     def test_bad_alternative_rejected(self):
         with pytest.raises(ConfigError, match="paired_alternative"):
             load_config(None, {"experiment.paired_alternative": "two_sided"})
+
+    def test_repeated_model_kind_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[run\] models: duplicate model kind 'svr'"):
+            load_config(None, {"run.models": "svr,decision_tree,svr"})
+
+    def test_default_digest_is_pinned(self):
+        # the digest is printed in report.txt, so the default text of every
+        # key is part of the report bytes
+        assert load_config().experiment.config_digest == "4602d966a86e0f6d"
+
+    def test_every_default_text_reloads_to_the_defaults(self):
+        base = load_config()
+        for section, keys in _DEFAULTS.items():
+            for key, text in keys.items():
+                assert load_config(None, {f"{section}.{key}": text}) == base, (section, key)
+
+    def test_readme_lists_every_key_and_default(self):
+        documented = readme_config()
+        model = documented.pop("model.<kind>")
+        assert documented == _DEFAULTS
+        assert model.pop("seed") == "<run seed>"
+        assert set(model) == {f.name for f in fields(ModelParams)} - {"seed"}
+        overrides = {f"model.svr.{key}": text for key, text in model.items()}
+        assert load_config(None, overrides).experiment.model_params["svr"] == ModelParams()
 
 
 class TestCliPipeline:
@@ -207,6 +250,15 @@ class TestCliPipeline:
         result = CliRunner().invoke(main, ["features", "--config", "run.ini"])
         assert result.exit_code == 1
         assert result.stderr == "Error: [features] min_days_per_week must be in 1..7\n"
+
+    @pytest.mark.parametrize("setting", ["zone_pool = 10", "sow_month = 13", "t_daily_sd = -1"])
+    def test_bad_synth_value_is_one_line_diagnostic(self, workdir, setting):
+        (workdir / "run.ini").write_text(TINY_CONFIG.replace("zone_pool = 24", setting))
+        result = run_cli("synth", "--config", "run.ini")
+        assert result.exit_code == 1
+        assert result.stderr.startswith("Error: ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.output
 
     def test_features_matrix_error_is_one_line_diagnostic(self, workdir, monkeypatch):
         run_cli("synth", "--config", "run.ini")

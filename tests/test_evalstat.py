@@ -1,5 +1,5 @@
 import math
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from wheatyield.evalstat import (
     temporal_split,
     zscore_panel,
 )
-from wheatyield.features import build_instance, build_instances, MODE_SOIL_WEATHER
+from wheatyield.features import build_instance, MODE_SOIL_WEATHER
 from wheatyield.learners import ModelParams
 
 
