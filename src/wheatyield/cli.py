@@ -29,7 +29,7 @@ def _common_options(fn):
                       help="Feature mode override.")(fn)
     fn = click.option("--test-year", type=int, default=None, help="Held-out year override.")(fn)
     fn = click.option("--jobs", type=int, default=None,
-                      help="Worker threads for ensemble training.")(fn)
+                      help="Worker processes for the model fits (0 = one per core).")(fn)
     return fn
 
 

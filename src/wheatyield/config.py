@@ -119,7 +119,7 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "test_year": "2018",
         "train_start": "2013",
         "train_end": "2017",
-        "jobs": "1",
+        "jobs": "0",
         "models": "decision_tree,svr,random_forest,extra_trees,hist_gradient_boosting,"
                   "gradient_boosting",
     },
@@ -270,6 +270,9 @@ def load_config(
     seed = _parse_int("run", "seed", run["seed"])
     if seed < 0:
         raise ConfigError("[run] seed must be >= 0")
+    jobs = _parse_int("run", "jobs", run["jobs"])
+    if jobs < 0:
+        raise ConfigError("[run] jobs must be >= 0 (0 = one worker per usable core)")
     mode = run["mode"].strip()
     if mode not in MODES:
         raise ConfigError(f"[run] mode must be one of {MODES}, got {mode!r}")
@@ -311,7 +314,7 @@ def load_config(
         mode=_MODE_TO_INTERNAL[mode],
         paired_alternative=alternative,
         feature_params=feature_params,
-        n_jobs=max(1, _parse_int("run", "jobs", run["jobs"])),
+        n_jobs=jobs,
         config_digest=_digest(merged),
     )
     return RunConfig(

@@ -4,7 +4,8 @@ The experiment trains every configured model twice (soil-only columns vs.
 soil+weather columns of the same instances), scores both with MAE on the
 held-out year, compares models within a mode by z-scores against the
 panel mean, and compares the two modes per model with a one-tailed paired
-t-test on absolute errors.
+t-test on absolute errors. The (model, mode) fits are independent, so
+they run on a pool of worker processes, one per usable core by default.
 
 The normal CDF comes from math.erf; the Student-t upper tail is computed
 from the regularized incomplete beta function via its continued-fraction
@@ -15,6 +16,7 @@ used here.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,8 +245,46 @@ class ExperimentConfig:
     mode: str = "both"  # soil_only | soil_weather | both
     paired_alternative: str = B_LESS_THAN_A
     feature_params: FeatureParams = field(default_factory=lambda: DEFAULT_FEATURE_PARAMS)
-    n_jobs: int = 1
+    n_jobs: int = 0  # worker processes; 0 = one per usable core
     config_digest: str = ""
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_predict(
+    kind: str, params: ModelParams, train_dm: DesignMatrix, test_dm: DesignMatrix
+) -> np.ndarray:
+    """One cell of the (model, mode) grid: the test-year predictions."""
+    return predict(train_on_matrix(kind, train_dm, params), test_dm)
+
+
+def _fit_grid(tasks: list[tuple], n_jobs: int) -> list[np.ndarray]:
+    """``_fit_predict(*task)`` for every task, results in task order.
+
+    Each fit is seeded from its own ModelParams, so where it runs does not
+    change its bits. One worker runs the fits here, in this process;
+    more run them on spawned processes (never more than there are fits).
+    """
+    width = min(n_jobs or _usable_cores(), len(tasks))
+    if width <= 1:
+        return [_fit_predict(*task) for task in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=width, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        futures = [pool.submit(_fit_predict, *task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
 
 def run_experiment(instances: list[Instance], cfg: ExperimentConfig) -> Report:
@@ -276,16 +316,18 @@ def run_experiment(instances: list[Instance], cfg: ExperimentConfig) -> Report:
             build_matrix(test_insts, MODE_SOIL_WEATHER, cfg.feature_params),
         )
 
+    # the wide soil+weather fits first, so the long ones start early
+    modes = [m for m in (MODE_SOIL_WEATHER, MODE_SOIL) if m in matrices]
+    grid = [(kind, mode) for mode in modes for kind in cfg.models]
+    preds = _fit_grid(
+        [(kind, cfg.model_params[kind], *matrices[mode]) for kind, mode in grid], cfg.n_jobs
+    )
     abs_errors: dict[str, dict[str, np.ndarray]] = {m: {} for m in cfg.models}
     maes: dict[str, dict[str, float]] = {m: {} for m in cfg.models}
-    for kind in cfg.models:
-        params = cfg.model_params[kind]
-        for mode, (train_dm, test_dm) in matrices.items():
-            model = train_on_matrix(kind, train_dm, params, n_jobs=cfg.n_jobs)
-            pred = predict(model, test_dm)
-            err = np.abs(test_dm.target - pred)
-            abs_errors[kind][mode] = err
-            maes[kind][mode] = float(np.mean(err))
+    for (kind, mode), pred in zip(grid, preds):
+        err = np.abs(matrices[mode][1].target - pred)
+        abs_errors[kind][mode] = err
+        maes[kind][mode] = float(np.mean(err))
 
     z_soil = z_sw = None
     if want_soil and len(cfg.models) >= 2:

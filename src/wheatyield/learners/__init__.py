@@ -2,7 +2,8 @@
 
 Kinds: decision_tree, svr, random_forest, extra_trees, gradient_boosting,
 hist_gradient_boosting. All randomness flows from ModelParams.seed through
-per-member derived generators, so results do not depend on thread count.
+per-member derived generators, so results do not depend on which process
+fits a model.
 Models serialize to a versioned JSON document; load(save(m)) predicts
 identically because JSON floats round-trip exactly.
 """
@@ -33,6 +34,7 @@ class ColumnMismatchError(ValueError):
     def __init__(self, missing: list[str], unexpected: list[str], reordered: bool):
         self.missing = missing
         self.unexpected = unexpected
+        self.reordered = reordered
         parts = []
         if missing:
             parts.append(f"missing columns {missing}")
@@ -41,6 +43,10 @@ class ColumnMismatchError(ValueError):
         if not parts and reordered:
             parts.append("columns are reordered")
         super().__init__("; ".join(parts) or "column mismatch")
+
+    def __reduce__(self):
+        # the default pickles only the message, which __init__ cannot take
+        return type(self), (self.missing, self.unexpected, self.reordered)
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,6 @@ def train(
     y: np.ndarray,
     params: ModelParams,
     column_names: list[str] | None = None,
-    n_jobs: int = 1,
 ) -> TrainedModel:
     """Fit one model kind on a feature matrix."""
     try:
@@ -131,12 +136,12 @@ def train(
         column_names = [f"x{i}" for i in range(X.shape[1])]
     if len(column_names) != X.shape[1]:
         raise ValueError("column_names length does not match matrix width")
-    estimator = cls(params).fit(X, np.asarray(y, dtype=np.float64), n_jobs=n_jobs)
+    estimator = cls(params).fit(X, np.asarray(y, dtype=np.float64))
     return TrainedModel(kind=kind, column_names=list(column_names), params=params, estimator=estimator)
 
 
-def train_on_matrix(kind: str, matrix: DesignMatrix, params: ModelParams, n_jobs: int = 1) -> TrainedModel:
-    return train(kind, matrix.rows, matrix.target, params, matrix.column_names, n_jobs=n_jobs)
+def train_on_matrix(kind: str, matrix: DesignMatrix, params: ModelParams) -> TrainedModel:
+    return train(kind, matrix.rows, matrix.target, params, matrix.column_names)
 
 
 def predict(

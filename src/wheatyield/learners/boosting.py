@@ -34,7 +34,7 @@ class Boosting:
         """Return ``grow(residual, m)``, which fits round m's tree."""
         raise NotImplementedError
 
-    def fit(self, X: np.ndarray, y: np.ndarray, n_jobs: int = 1) -> "Boosting":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "Boosting":
         X = np.ascontiguousarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] == 0:

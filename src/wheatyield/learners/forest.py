@@ -1,13 +1,12 @@
 """Bagged tree ensembles: random forest and extremely randomized trees.
 
 Every tree draws its own generator from (seed, tree index), so training is
-bit-reproducible no matter how many worker threads build the trees.
+bit-reproducible in whichever process it runs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,19 +46,14 @@ class _BaseForest:
             random_thresholds=self.random_thresholds,
         )
 
-    def fit(self, X: np.ndarray, y: np.ndarray, n_jobs: int = 1):
+    def fit(self, X: np.ndarray, y: np.ndarray):
         X = np.ascontiguousarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] == 0:
             raise ValueError("cannot train on an empty matrix")
         if self.params.n_estimators < 1:
             raise ValueError("forests need n_estimators >= 1")
-        indices = range(self.params.n_estimators)
-        if n_jobs > 1:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                self.trees = list(pool.map(lambda i: self._build_one(X, y, i), indices))
-        else:
-            self.trees = [self._build_one(X, y, i) for i in indices]
+        self.trees = [self._build_one(X, y, i) for i in range(self.params.n_estimators)]
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

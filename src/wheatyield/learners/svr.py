@@ -24,7 +24,7 @@ class LinearSVR:
         self.mu: np.ndarray | None = None
         self.scale: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray, n_jobs: int = 1) -> "LinearSVR":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearSVR":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] == 0:

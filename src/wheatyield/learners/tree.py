@@ -224,7 +224,7 @@ class DecisionTree:
         self.params = params
         self.nodes: TreeNodes | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray, n_jobs: int = 1) -> "DecisionTree":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] == 0:

@@ -321,7 +321,7 @@ def test_criterion_8_evaluate_byte_identical_across_jobs(tmp_path, monkeypatch):
                         Path("out/mae_chart.svg").read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
     ok(8, "evaluate produced byte-identical report.csv/txt/svg with 1 and 3 "
-          "worker threads")
+          "worker processes")
 
 
 # -- criterion 9: generator calibration -----------------------------------

@@ -141,6 +141,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="paired_alternative"):
             load_config(None, {"experiment.paired_alternative": "two_sided"})
 
+    def test_jobs_zero_means_usable_cores_and_stays_out_of_digest(self):
+        base = load_config()
+        assert base.experiment.n_jobs == 0
+        wide = load_config(None, {"run.jobs": "3"})
+        assert wide.experiment.n_jobs == 3
+        assert wide.experiment.config_digest == base.experiment.config_digest
+
+    def test_negative_jobs_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[run\] jobs must be >= 0"):
+            load_config(None, {"run.jobs": "-1"})
+
     def test_repeated_model_kind_rejected(self):
         with pytest.raises(ConfigError, match=r"\[run\] models: duplicate model kind 'svr'"):
             load_config(None, {"run.models": "svr,decision_tree,svr"})
@@ -258,6 +269,21 @@ class TestCliPipeline:
         assert result.exit_code == 1
         assert result.stderr.startswith("Error: ")
         assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.output
+
+    def test_negative_jobs_is_one_line_diagnostic(self, workdir):
+        result = CliRunner().invoke(main, ["evaluate", "--config", "run.ini", "--jobs", "-2"])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            "Error: [run] jobs must be >= 0 (0 = one worker per usable core)\n")
+
+    def test_worker_error_is_one_line_diagnostic(self, workdir):
+        (workdir / "run.ini").write_text(
+            TINY_CONFIG.replace("n_estimators = 12", "n_estimators = 0"))
+        run_cli("synth", "--config", "run.ini")
+        result = CliRunner().invoke(main, ["evaluate", "--config", "run.ini", "--jobs", "2"])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: forests need n_estimators >= 1\n"
         assert "Traceback" not in result.output
 
     def test_features_matrix_error_is_one_line_diagnostic(self, workdir, monkeypatch):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from datetime import date
 
@@ -290,6 +291,38 @@ class TestRunExperiment:
     def test_empty_model_list_is_error(self):
         with pytest.raises(ValueError, match="models"):
             run_experiment(self.small_instances(), self.config(models=[]))
+
+    def test_worker_count_capped_at_number_of_fits(self, monkeypatch):
+        widths = []
+
+        class InlinePool:
+            """Records the requested width and runs each task at submit."""
+
+            def __init__(self, max_workers, mp_context=None):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        serial = run_experiment(self.small_instances(), self.config(n_jobs=1))
+        assert widths == []  # one worker fits in this process, with no pool
+        wide = run_experiment(self.small_instances(), self.config(n_jobs=10_000))
+        assert widths == [2 * 2]  # two models x two modes
+        assert wide == serial
+        run_experiment(self.small_instances(), self.config(n_jobs=10_000, mode="soil_only"))
+        assert widths == [4, 2]
 
     def test_mae_equals_mean_abs_error_of_paired_path(self):
         # both code paths share one absolute-error vector, so the report

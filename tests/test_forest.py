@@ -1,5 +1,8 @@
 import numpy as np
 
+from wheatyield.domain import Instance
+from wheatyield.evalstat import ExperimentConfig, run_experiment
+from wheatyield.features import FeatureParams, soil_feature_names, weather_feature_names
 from wheatyield.learners import (
     ModelParams,
     load_model,
@@ -7,6 +10,7 @@ from wheatyield.learners import (
     save_model,
     train,
 )
+from wheatyield.reporting import mae_chart_svg, report_csv, report_text
 
 
 def dataset(seed=0, n=80, d=5):
@@ -14,6 +18,30 @@ def dataset(seed=0, n=80, d=5):
     X = rng.normal(size=(n, d))
     y = X[:, 0] * 2 - X[:, 1] + 0.3 * rng.normal(size=n)
     return X, y, [f"x{i}" for i in range(d)]
+
+
+def assert_widths_agree(kind, params, seed):
+    # the old thread-count test data, as zone-years of three seasons:
+    # 8 soil columns and one week of 6 weather columns; the model is fitted
+    # on one and on two worker processes, and the reports must match
+    window = FeatureParams(week_start=17, week_end=17)
+    soil_names, weather_names = soil_feature_names(), weather_feature_names(window)
+    X, y, _ = dataset(seed, n=90, d=len(soil_names) + len(weather_names))
+    instances = [
+        Instance(f"Z{i // 3}", 2016 + i % 3, dict(zip(soil_names, row[:len(soil_names)])),
+                 dict(zip(weather_names, row[len(soil_names):])), float(target))
+        for i, (row, target) in enumerate(zip(X, y))
+    ]
+    reports = [
+        run_experiment(instances, ExperimentConfig(
+            models=[kind], model_params={kind: params}, train_start=2016,
+            feature_params=window, n_jobs=n_jobs,
+        ))
+        for n_jobs in (1, 2)
+    ]
+    assert reports[0].rows == reports[1].rows
+    for render in (report_csv, report_text, mae_chart_svg):
+        assert render(reports[0]) == render(reports[1])
 
 
 class TestRandomForest:
@@ -49,11 +77,7 @@ class TestRandomForest:
         assert pred.max() <= y.max() + 1e-12
 
     def test_parallel_training_bit_identical(self):
-        X, y, names = dataset(3)
-        params = ModelParams(n_estimators=16, max_depth=5, seed=7)
-        serial = train("random_forest", X, y, params, names, n_jobs=1)
-        threaded = train("random_forest", X, y, params, names, n_jobs=4)
-        assert np.array_equal(predict(serial, X, names), predict(threaded, X, names))
+        assert_widths_agree("random_forest", ModelParams(n_estimators=16, max_depth=5, seed=7), 3)
 
     def test_save_load_round_trip(self, tmp_path):
         X, y, names = dataset(4)
@@ -79,11 +103,7 @@ class TestExtraTrees:
         assert pred.min() >= y.min() - 1e-12 and pred.max() <= y.max() + 1e-12
 
     def test_parallel_training_bit_identical(self):
-        X, y, names = dataset(7)
-        params = ModelParams(n_estimators=10, max_depth=5, seed=13)
-        serial = train("extra_trees", X, y, params, names, n_jobs=1)
-        threaded = train("extra_trees", X, y, params, names, n_jobs=3)
-        assert np.array_equal(predict(serial, X, names), predict(threaded, X, names))
+        assert_widths_agree("extra_trees", ModelParams(n_estimators=10, max_depth=5, seed=13), 7)
 
     def test_learns_signal(self):
         X, y, names = dataset(8, n=200)
@@ -92,3 +112,4 @@ class TestExtraTrees:
         pred = predict(model, X, names)
         baseline = float(np.mean((y - y.mean()) ** 2))
         assert float(np.mean((y - pred) ** 2)) < 0.5 * baseline
+

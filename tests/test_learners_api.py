@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from wheatyield.features import MODE_SOIL_WEATHER, build_matrix, feature_names
 from wheatyield.learners import (
     MODEL_KINDS,
+    ColumnMismatchError,
     ModelParams,
     load_model,
     predict,
@@ -129,6 +131,20 @@ class TestDesignMatrixApi:
                                 ModelParams(max_depth=3, min_samples_leaf=2))
         with pytest.raises(ValueError, match="152"):
             predict(model, dm.rows[:, :8])
+
+    def test_column_mismatch_survives_pickling(self):
+        # a worker process sends its exception to the parent pickled
+        dm = self.matrix()
+        model = train_on_matrix("decision_tree", dm,
+                                ModelParams(max_depth=3, min_samples_leaf=2))
+        dm.column_names = ["phosphorus"] + list(dm.column_names[1:])
+        with pytest.raises(ColumnMismatchError) as info:
+            predict(model, dm)
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is ColumnMismatchError
+        assert str(copy) == str(info.value)
+        assert (copy.missing, copy.unexpected, copy.reordered) == (
+            info.value.missing, info.value.unexpected, info.value.reordered)
 
 
 class TestSerializationFormat:
