@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .tree import TreeNodes, column_order, derived_rng, grow_tree, subsample_rows
+from .splits import column_order, column_ranks
+from .tree import TreeNodes, derived_rng, grow_tree, subsample_rows
 
 RoundGrower = Callable[[np.ndarray, int], TreeNodes]
 
@@ -80,7 +81,9 @@ class GradientBoosting(Boosting):
         p = self.params
         n, d = X.shape
         max_features = d if p.max_features is None else min(p.max_features, d)
-        order = column_order(X)  # X is fixed across rounds: sort it once per fit
+        # X is fixed across rounds: sort and rank it once per fit
+        order = column_order(X)
+        ranks = column_ranks(X, order)
 
         def grow(residual: np.ndarray, m: int) -> TreeNodes:
             rng = derived_rng(p.seed, m)
@@ -94,6 +97,7 @@ class GradientBoosting(Boosting):
                 rng=rng,
                 root_rows=rows,
                 order=order,
+                ranks=ranks,
             )
 
         return grow

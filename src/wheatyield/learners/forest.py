@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from .splits import column_ranks
 from .tree import TreeNodes, derived_rng, grow_tree
 
 
@@ -28,22 +29,25 @@ class _BaseForest:
         self.params = params
         self.trees: list[TreeNodes] = []
 
-    def _build_one(self, X: np.ndarray, y: np.ndarray, index: int) -> TreeNodes:
+    def _build_one(
+        self, X: np.ndarray, y: np.ndarray, ranks: np.ndarray | None, index: int
+    ) -> TreeNodes:
         rng = derived_rng(self.params.seed, index)
         n, d = X.shape
         if self.use_bootstrap and self.params.bootstrap:
             rows = rng.integers(0, n, size=n)
-            Xb, yb = X[rows], y[rows]
-        else:
-            Xb, yb = X, y
+            X, y = X[rows], y[rows]
+            if ranks is not None:
+                ranks = ranks.take(rows, axis=1)
         return grow_tree(
-            Xb,
-            yb,
+            X,
+            y,
             max_depth=self.params.max_depth,
             min_samples_leaf=self.params.min_samples_leaf,
             max_features=_resolve_max_features(self.params.max_features, d),
             rng=rng,
             random_thresholds=self.random_thresholds,
+            ranks=ranks,
         )
 
     def fit(self, X: np.ndarray, y: np.ndarray):
@@ -53,7 +57,9 @@ class _BaseForest:
             raise ValueError("cannot train on an empty matrix")
         if self.params.n_estimators < 1:
             raise ValueError("forests need n_estimators >= 1")
-        self.trees = [self._build_one(X, y, i) for i in range(self.params.n_estimators)]
+        # rank X once: a tree's sort is then a radix sort of its rows' ranks
+        ranks = None if self.random_thresholds else column_ranks(X)
+        self.trees = [self._build_one(X, y, ranks, i) for i in range(self.params.n_estimators)]
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -5,9 +5,11 @@ distinct values the bin edges are exact midpoints between consecutive
 distinct values (so split candidates coincide with the exhaustive search),
 otherwise edges come from equal-frequency cuts. Trees grow leaf-wise: the
 leaf whose best split removes the most squared error is expanded first,
-until max_leaves is reached or no leaf can improve. Histograms are built
-per node with one vectorized bincount over all features, so each tree
-level costs one pass over the node's rows.
+until max_leaves is reached or no leaf can improve. A node's residual-sum
+histogram is one vectorized bincount over all features, so each tree level
+costs one pass over the node's rows. Only the smaller child of a split
+bins its counts; the larger child's are the parent's minus those, exact
+for integers.
 
 Fitted trees store real-valued thresholds, so the boosting loop,
 prediction and serialization are those of :class:`boosting.Boosting`.
@@ -76,11 +78,11 @@ class _Leaf:
     node_id: int
     rows: np.ndarray
     depth: int
-    cnt: np.ndarray
-    sums: np.ndarray
-    split_feature: int
-    split_bin: int
-    gain: float
+    cnt: np.ndarray | None = None
+    sums: np.ndarray | None = None
+    split_feature: int = -1
+    split_bin: int = -1
+    gain: float = 0.0
 
 
 class _HistTreeBuilder:
@@ -89,7 +91,6 @@ class _HistTreeBuilder:
         X: np.ndarray,
         binned: np.ndarray,
         thresholds: list[np.ndarray],
-        n_bins: int,
         *,
         max_depth: int | None,
         min_samples_leaf: int,
@@ -97,64 +98,67 @@ class _HistTreeBuilder:
     ):
         self.X = X
         self.binned = binned
-        self.thresholds = thresholds
-        self.n_bins = n_bins
         self.max_depth = max_depth
         self.min_leaf = min_samples_leaf
         self.max_leaves = max(2, max_leaves)
         d = binned.shape[1]
-        self.offsets = (np.arange(d, dtype=np.int32) * n_bins)[None, :]
+        # feature f has thresholds[f].size + 1 bins, so the widest feature
+        # sets the histogram width; n_bins may be far wider than the data
+        self.width = max(2, 1 + max((thr.size for thr in thresholds), default=0))
+        # flat histogram cell of every (row, feature), computed once per fit
+        self.codes = binned + np.arange(d, dtype=np.intp) * self.width
         # bin b is a usable cut for feature f only if threshold b exists
-        self.cut_ok = np.zeros((d, n_bins - 1), dtype=bool)
+        self.cut_ok = np.zeros((d, self.width - 1), dtype=bool)
         for f, thr in enumerate(thresholds):
             self.cut_ok[f, : thr.size] = True
-
-    def _hist(self, rows: np.ndarray, resid: np.ndarray):
-        d = self.binned.shape[1]
-        flat = (self.binned[rows] + self.offsets).ravel()
-        size = d * self.n_bins
-        cnt = np.bincount(flat, minlength=size).reshape(d, self.n_bins)
-        sums = np.bincount(
-            flat, weights=np.repeat(resid[rows], d), minlength=size
-        ).reshape(d, self.n_bins)
-        return cnt.astype(np.float64), sums
 
     def _best(self, cnt: np.ndarray, sums: np.ndarray, m: int, total: float):
         """Best (feature, bin, gain) by absolute SSE reduction, or None."""
         cum_n = np.cumsum(cnt, axis=1)[:, :-1]
         cum_s = np.cumsum(sums, axis=1)[:, :-1]
         nr = m - cum_n
-        valid = self.cut_ok & (cum_n >= self.min_leaf) & (nr >= self.min_leaf)
-        nl_safe = np.maximum(cum_n, 1.0)
-        nr_safe = np.maximum(nr, 1.0)
-        sr = total - cum_s
-        gains = cum_s * cum_s / nl_safe + sr * sr / nr_safe - total * total / m
-        gains = np.where(valid, gains, -np.inf)
-        flat_idx = int(np.argmax(gains))
-        f, b = divmod(flat_idx, gains.shape[1])
-        gain = float(gains.flat[flat_idx])
+        # flat (feature, bin) ids of the usable cuts; both sides hold rows,
+        # so the gains below divide by nonzero counts
+        cuts = np.flatnonzero(self.cut_ok & (cum_n >= self.min_leaf) & (nr >= self.min_leaf))
+        if cuts.size == 0:
+            return None
+        sl = cum_s.take(cuts)
+        sr = total - sl
+        gains = sl * sl / cum_n.take(cuts) + sr * sr / nr.take(cuts) - total * total / m
+        i = int(np.argmax(gains))  # the first best in (feature, bin) order
+        gain = float(gains[i])
         if not gain > 0.0:
             return None
+        f, b = divmod(int(cuts[i]), self.width - 1)
         return f, b, gain
 
-    def _make_leaf(self, growth: _Growth, rows: np.ndarray, depth: int, resid: np.ndarray) -> _Leaf:
-        node_id = growth.add()
-        growth.value[node_id] = float(resid[rows].mean())
-        cnt, sums = self._hist(rows, resid)
-        return self._with_split(_Leaf(node_id, rows, depth, cnt, sums, -1, -1, 0.0), resid)
+    def _fill(self, growth: _Growth, leaf: _Leaf, resid: np.ndarray, cnt: np.ndarray | None):
+        """Set leaf's value and histograms, then its best split.
 
-    def _with_split(self, leaf: _Leaf, resid: np.ndarray) -> _Leaf:
+        The counts are binned unless cnt gives them; the residual sums
+        are always binned, in node-row order.
+        """
+        growth.value[leaf.node_id] = float(resid[leaf.rows].mean())
+        d = self.codes.shape[1]
+        size = d * self.width
+        flat = self.codes[leaf.rows].ravel()
+        if cnt is None:
+            cnt = np.bincount(flat, minlength=size).reshape(d, self.width).astype(np.float64)
+        leaf.cnt = cnt
+        leaf.sums = np.bincount(
+            flat, weights=np.repeat(resid[leaf.rows], d), minlength=size
+        ).reshape(d, self.width)
         exhausted = self.max_depth is not None and leaf.depth >= self.max_depth
         if not exhausted and leaf.rows.size >= 2 * self.min_leaf:
             total = float(resid[leaf.rows].sum())  # canonical node total
             best = self._best(leaf.cnt, leaf.sums, leaf.rows.size, total)
             if best is not None:
                 leaf.split_feature, leaf.split_bin, leaf.gain = best
-        return leaf
 
     def grow(self, resid: np.ndarray, root_rows: np.ndarray) -> TreeNodes:
         growth = _Growth()
-        root = self._make_leaf(growth, root_rows, 0, resid)
+        root = _Leaf(growth.add(), root_rows, 0)
+        self._fill(growth, root, resid, None)
         heap: list[tuple[float, int, _Leaf]] = []
         counter = 0
         if root.gain > 0.0:
@@ -167,8 +171,13 @@ class _HistTreeBuilder:
             rows_l = leaf.rows[go_left]
             rows_r = leaf.rows[~go_left]
 
-            left = self._make_leaf(growth, rows_l, leaf.depth + 1, resid)
-            right = self._make_leaf(growth, rows_r, leaf.depth + 1, resid)
+            left = _Leaf(growth.add(), rows_l, leaf.depth + 1)
+            right = _Leaf(growth.add(), rows_r, leaf.depth + 1)
+            # bin the smaller child's counts; the larger's are the parent's
+            # minus those, which is exact because counts are integers
+            small, large = (left, right) if rows_l.size <= rows_r.size else (right, left)
+            self._fill(growth, small, resid, None)
+            self._fill(growth, large, resid, leaf.cnt - small.cnt)
 
             # record the cut as the midpoint between the adjacent observed
             # values, like the exact search (the empty bin gap between a
@@ -203,7 +212,6 @@ class HistGradientBoosting(Boosting):
             X,
             mapper.transform(X),
             mapper.thresholds,
-            p.n_bins,
             max_depth=p.max_depth,
             min_samples_leaf=p.min_samples_leaf,
             max_leaves=p.max_leaves,

@@ -23,65 +23,116 @@ class Split:
     gain: float
 
 
-def _exact_search(Xn: np.ndarray, yn: np.ndarray, feat_ids: np.ndarray, min_leaf: int) -> Split | None:
-    """Exhaustive search over midpoints of consecutive distinct values.
+def column_order(X: np.ndarray) -> np.ndarray:
+    """Row ids of X sorted stably by each column: a (d, n) matrix."""
+    return np.argsort(X.T, axis=1, kind="stable")
 
-    Xn is the node submatrix (rows x selected features); feat_ids maps its
-    columns back to original feature indices and must be ascending.
+
+def column_ranks(X: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """Dense ranks of X's columns: a (d, n) matrix of the smallest unsigned
+    dtype that holds n - 1.
+
+    Equal values get equal ranks and ranks keep the values' order, so a
+    stable argsort of any row subset of the ranks equals a stable argsort of
+    the same rows of X; numpy radix-sorts 8- and 16-bit keys. order is
+    :func:`column_order` of X, when the caller has it.
     """
-    m, k = Xn.shape
-    if m < 2 or m < 2 * min_leaf or k == 0:
-        return None
-    yc = yn - yn.mean()
-    order = np.argsort(Xn.T, axis=1, kind="stable")
-    xs = np.take_along_axis(Xn.T, order, axis=1)
-    return _sorted_search(xs, yc[order], yc.sum(), feat_ids, min_leaf)
+    if order is None:
+        order = column_order(X)
+    d, n = order.shape
+    xs = np.take_along_axis(X.T, order, axis=1)
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    sorted_ranks = np.zeros((d, n), dtype=dtype)
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, dtype=dtype, out=sorted_ranks[:, 1:])
+    ranks = np.empty_like(sorted_ranks)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    return ranks
+
+
+# one block of the exact scan gathers about this many (feature, row) cells,
+# so that the block's working arrays stay in a core's L2 cache
+_BLOCK_CELLS = 32768
 
 
 def _sorted_search(
-    xs: np.ndarray, ys: np.ndarray, total: float, feat_ids: np.ndarray, min_leaf: int
+    X: np.ndarray,
+    ranks: np.ndarray,
+    y: np.ndarray,
+    mean: float,
+    total: float,
+    ids: np.ndarray,
+    feat_ids: np.ndarray,
+    min_leaf: int,
 ) -> Split | None:
-    """The scan of :func:`_exact_search` over a node already sorted.
+    """Exhaustive search over midpoints of consecutive distinct values, for
+    a node whose rows are already sorted by every candidate feature.
 
-    Row j of xs holds feature feat_ids[j]'s node values in ascending
-    order (a stable sort), and row j of ys the node-centered targets in
-    that same order. total is the centered node sum taken in node-row order:
-    one canonical total shared by every feature, so equal partitions found
-    through different features score bit-identically and ties resolve by
-    the feature-index rule rather than accumulation noise. The node must
-    hold at least max(2, 2 * min_leaf) rows.
+    Row j of ids holds the node's row ids in stable ascending order of
+    feature feat_ids[j] (ascending). ranks is a C-contiguous (d, n) matrix
+    of integer codes of X's columns that keeps their order and ties (see
+    :func:`column_ranks`): two sorted neighbours are a candidate cut
+    exactly when their codes differ, so the scan reads codes, not floats.
+    X is read only for the winning cut's two neighbours, whose midpoint is
+    the threshold.
+
+    The scan centres y's node values by mean. total is the centered node
+    sum taken in node-row order: one canonical total shared by every
+    feature, so equal partitions found through different features score
+    bit-identically and ties resolve by the feature-index rule rather than
+    accumulation noise. The node must hold at least max(2, 2 * min_leaf)
+    rows.
+
+    Features are scanned in blocks of about ``_BLOCK_CELLS`` cells, and
+    gains are computed only at cuts. Each gain is the same per-cell
+    arithmetic over the same prefix sums, and the first maximum in
+    (feature, candidate) order wins, so neither changes a bit.
     """
-    k, m = xs.shape
+    k, m = ids.shape
     # candidate i cuts after sorted position i; min_leaf bounds it to [lo, hi)
     leaf = max(min_leaf, 1)
     lo, hi = leaf - 1, m - leaf
-    sl = np.cumsum(ys[:, :hi], axis=1)[:, lo:]
     nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
     nr = m - nl
-    # gains = (sl^2/nl + sr^2/nr - total^2/m) / m, evaluated in place
-    gains = sl * sl
-    gains /= nl
-    sr = total - sl
-    sr *= sr
-    sr /= nr
-    gains += sr
-    gains -= total * total / m
-    gains /= m
-    valid = xs[:, lo + 1 : hi + 1] > xs[:, lo:hi]
-    np.copyto(gains, -np.inf, where=~valid)
+    base = total * total / m
+    codes = ranks.ravel()
+    n = ranks.shape[1]
+    yc = y - mean
+    best_gain, best_col, best_pos = -np.inf, -1, -1
+    step = max(1, _BLOCK_CELLS // m)
+    for a in range(0, k, step):
+        block = ids[a : a + step]
+        sums = np.cumsum(yc.take(block[:, :hi]), axis=1)
+        rs = codes.take(block + (feat_ids[a : a + step] * n)[:, None])
+        # flat (column, candidate) ids of the cuts between distinct values
+        cuts = np.flatnonzero(rs[:, lo + 1 : hi + 1] > rs[:, lo:hi])
+        if cuts.size == 0:
+            continue
+        col, cand = np.divmod(cuts, hi - lo)
+        sl = sums.take(cuts + lo * (col + 1))
+        # gains = (sl^2/nl + sr^2/nr - total^2/m) / m, evaluated in place
+        gains = sl * sl
+        gains /= nl.take(cand)
+        sr = total - sl
+        sr *= sr
+        sr /= nr.take(cand)
+        gains += sr
+        gains -= base
+        gains /= m
+        # the first maximum in (column, candidate) order, and a later block
+        # only when strictly better: the lowest feature, then threshold, wins
+        i = int(np.argmax(gains))
+        if gains[i] > best_gain:
+            best_gain, best_col, best_pos = float(gains[i]), a + int(col[i]), lo + int(cand[i])
 
-    per_col_row = np.argmax(gains, axis=1)
-    per_col_gain = gains[np.arange(k), per_col_row]
-    col = int(np.argmax(per_col_gain))
-    gain = float(per_col_gain[col])
-    if not gain > 0.0:
+    if not best_gain > 0.0:
         return None
-    row = lo + int(per_col_row[col])
-    below, above = float(xs[col, row]), float(xs[col, row + 1])
+    feature = int(feat_ids[best_col])
+    below = float(X[ids[best_col, best_pos], feature])
+    above = float(X[ids[best_col, best_pos + 1], feature])
     threshold = 0.5 * (below + above)
     if threshold >= above:  # midpoint rounded up; keep "x <= thr" consistent
         threshold = below
-    return Split(int(feat_ids[col]), threshold, gain)
+    return Split(feature, threshold, best_gain)
 
 
 def _random_search(
@@ -149,6 +200,13 @@ def best_split(
         if feature_subset is None
         else np.sort(np.asarray(feature_subset, dtype=np.intp))
     )
-    if rows.size < 2 or feats.size == 0:
+    m = rows.size
+    if m < 2 or m < 2 * min_samples_leaf or feats.size == 0:
         return None
-    return _exact_search(X[np.ix_(rows, feats)], y[rows], feats, min_samples_leaf)
+    Xr, yr = X[rows], y[rows]
+    order = column_order(Xr)
+    mean = yr.mean()
+    return _sorted_search(
+        Xr, column_ranks(Xr, order), yr, mean, (yr - mean).sum(), order[feats], feats,
+        min_samples_leaf,
+    )

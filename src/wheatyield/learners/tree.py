@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .splits import Split, _random_search, _sorted_search
+from .splits import Split, _random_search, _sorted_search, column_order, column_ranks
 
 
 class TreeNodes:
@@ -92,11 +92,6 @@ class _Growth:
         return TreeNodes(self.feature, self.threshold, self.left, self.right, self.value)
 
 
-def column_order(X: np.ndarray) -> np.ndarray:
-    """Row ids of X sorted stably by each column: a (d, n) matrix."""
-    return np.argsort(X.T, axis=1, kind="stable")
-
-
 def grow_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -108,6 +103,7 @@ def grow_tree(
     random_thresholds: bool = False,
     root_rows: np.ndarray | None = None,
     order: np.ndarray | None = None,
+    ranks: np.ndarray | None = None,
 ) -> TreeNodes:
     """Grow one regression tree.
 
@@ -118,12 +114,19 @@ def grow_tree(
 
     The exhaustive search sorts nothing at a node. Each searching node
     holds its rows sorted by every column (a (d, m) row-id matrix) and
-    partitions that matrix stably between its children. ``order`` is
-    :func:`column_order` of X, so that callers growing many trees on one
-    matrix sort it once; without it the tree sorts X itself. Node rows
-    stay ascending, so a stable full sort filtered to a node equals a
-    stable sort of that node alone, and every split is the one
-    :func:`best_split` finds for the node's rows.
+    partitions that matrix stably between its children. Node rows stay
+    ascending, so a stable full sort filtered to a node equals a stable
+    sort of that node alone, and every split is the one :func:`best_split`
+    finds for the node's rows. The scan tells equal values from distinct
+    ones by their ranks (``column_ranks``), and reads X only for the
+    threshold.
+
+    Callers growing many trees sort once per fit and pass what they have:
+    ``order`` is :func:`column_order` of X, and ``ranks`` is
+    :func:`column_ranks` of X, or the columns of a larger matrix's ranks
+    that X's rows were drawn from (a bootstrap sample). With ranks alone
+    the tree radix-sorts them; with order alone it ranks from the order;
+    with neither it sorts X.
     """
     if X.shape[0] == 0:
         raise ValueError("cannot grow a tree on an empty matrix")
@@ -155,8 +158,15 @@ def grow_tree(
 
     root_sorted = None
     if searches(rows0.size, 0):
-        XT = np.ascontiguousarray(X.T)
-        root_sorted = column_order(X) if order is None else order
+        if order is None and ranks is None:
+            order = column_order(X)
+        if ranks is None:
+            ranks = column_ranks(X, order)
+        elif order is None:
+            order = np.argsort(ranks, axis=1, kind="stable")
+        # row ids in the smallest dtype (16-bit at these sizes): the partitions
+        # and gathers of the scan move a quarter of the bytes of intp ids
+        root_sorted = order.astype(np.min_scalar_type(n - 1), copy=False)
         if root_rows is not None:
             in_root = np.zeros(n, dtype=bool)
             in_root[rows0] = True
@@ -178,11 +188,13 @@ def grow_tree(
             if random_thresholds:
                 split = _random_search(X[np.ix_(rows, feats)], yn, feats, min_samples_leaf, rng)
             elif sorted_rows is not None:
-                ids = sorted_rows[feats] if subset else sorted_rows
                 split = _sorted_search(
-                    XT[feats[:, None], ids],
-                    y.take(ids) - mean,
+                    X,
+                    ranks,
+                    y,
+                    mean,
                     (yn - mean).sum(),
+                    sorted_rows[feats] if subset else sorted_rows,
                     feats,
                     min_samples_leaf,
                 )

@@ -1,4 +1,8 @@
+import heapq
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from wheatyield.learners import (
     ModelParams,
@@ -7,7 +11,8 @@ from wheatyield.learners import (
     save_model,
     train,
 )
-from wheatyield.learners.histboost import _BinMapper
+from wheatyield.learners.histboost import HistGradientBoosting, _BinMapper
+from wheatyield.learners.tree import TreeNodes, derived_rng, subsample_rows
 
 
 def clustered_dataset(seed=0, n=32):
@@ -204,3 +209,132 @@ class TestHistGradientBoosting:
         save_model(model, tmp_path / "hgb.json")
         loaded = load_model(tmp_path / "hgb.json")
         assert np.array_equal(predict(model, X, names), predict(loaded, X, names))
+
+
+def reference_hist_boosting(X, y, p):
+    """Leaf-wise histogram boosting that bins every node's counts and sums
+    directly, in n_bins-wide histograms: no count is derived from a parent
+    or sibling."""
+    mapper = _BinMapper(p.n_bins).fit(X)
+    binned = mapper.transform(X).astype(np.intp)
+    n, d = X.shape
+    width = p.n_bins
+    offsets = np.arange(d) * width
+    cut_ok = np.zeros((d, width - 1), dtype=bool)
+    for f, thr in enumerate(mapper.thresholds):
+        cut_ok[f, : thr.size] = True
+
+    def node(rows, depth, resid):
+        flat = (binned[rows] + offsets).ravel()
+        cnt = np.bincount(flat, minlength=d * width).reshape(d, width).astype(np.float64)
+        sums = np.bincount(
+            flat, weights=np.repeat(resid[rows], d), minlength=d * width
+        ).reshape(d, width)
+        best = None
+        if (p.max_depth is None or depth < p.max_depth) and rows.size >= 2 * p.min_samples_leaf:
+            m, total = rows.size, float(resid[rows].sum())
+            cum_n = np.cumsum(cnt, axis=1)[:, :-1]
+            cum_s = np.cumsum(sums, axis=1)[:, :-1]
+            nr = m - cum_n
+            valid = cut_ok & (cum_n >= p.min_samples_leaf) & (nr >= p.min_samples_leaf)
+            sr = total - cum_s
+            gains = (cum_s * cum_s / np.maximum(cum_n, 1.0) + sr * sr / np.maximum(nr, 1.0)
+                     - total * total / m)
+            gains = np.where(valid, gains, -np.inf)
+            flat_idx = int(np.argmax(gains))
+            if gains.flat[flat_idx] > 0.0:
+                best = (float(gains.flat[flat_idx]), *divmod(flat_idx, width - 1))
+        return best
+
+    def grow(resid, root_rows):
+        feature, threshold, left, right, value = [], [], [], [], []
+
+        def add(rows):
+            for field, v in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1)):
+                field.append(v)
+            value.append(float(resid[rows].mean()))
+            return len(value) - 1
+
+        heap, counter, n_leaves = [], 0, 1
+        root = (add(root_rows), root_rows, 0)
+        best = node(root_rows, 0, resid)
+        if best is not None:
+            heap.append((-best[0], counter, root, best))
+        while heap and n_leaves < max(2, p.max_leaves):
+            _, _, (idx, rows, depth), (_, f, b) = heapq.heappop(heap)
+            go_left = binned[rows, f] <= b
+            children = []
+            for child_rows in (rows[go_left], rows[~go_left]):
+                children.append((add(child_rows), child_rows, depth + 1))
+            lo = float(X[rows[go_left], f].max())
+            hi = float(X[rows[~go_left], f].min())
+            thr = 0.5 * (lo + hi)
+            feature[idx], threshold[idx] = f, thr if thr < hi else lo
+            left[idx], right[idx] = children[0][0], children[1][0]
+            for child in children:
+                best = node(child[1], child[2], resid)
+                if best is not None:
+                    counter += 1
+                    heapq.heappush(heap, (-best[0], counter, child, best))
+            n_leaves += 1
+        return TreeNodes(feature, threshold, left, right, value)
+
+    current = np.full(n, float(np.mean(y)))
+    trees = []
+    for m in range(p.n_estimators):
+        if p.subsample < 1.0:
+            rows = subsample_rows(n, p.subsample, derived_rng(p.seed, m))
+        else:
+            rows = np.arange(n, dtype=np.intp)
+        trees.append(grow(y - current, rows))
+        current = current + p.learning_rate * trees[-1].predict(X)
+    return trees
+
+
+def assert_same_trees(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in TreeNodes.__slots__:
+            x, z = getattr(a, name), getattr(b, name)
+            assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), name
+
+
+def tied_matrix(seed, n=80):
+    """Integer columns (few distinct values, exact midpoints) beside
+    continuous ones (more values than bins, equal-frequency cuts)."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.integers(0, 4, size=n), rng.normal(size=n), rng.integers(0, 12, size=n),
+        np.round(rng.normal(size=n), 1),
+    ]).astype(np.float64)
+    y = X[:, 0] * 2 - X[:, 1] + rng.normal(size=n)
+    return X, y
+
+
+class TestHistCountReuse:
+    @pytest.mark.parametrize("subsample", [1.0, 0.6])
+    @pytest.mark.parametrize("max_depth", [None, 2])
+    def test_trees_equal_direct_bincount_reference(self, subsample, max_depth):
+        for seed in range(6):
+            X, y = tied_matrix(seed)
+            params = ModelParams(n_estimators=8, learning_rate=0.3, max_depth=max_depth,
+                                 max_leaves=7, min_samples_leaf=1 + seed % 3, n_bins=8,
+                                 subsample=subsample, seed=seed)
+            got = HistGradientBoosting(params).fit(X, y).trees
+            assert_same_trees(got, reference_hist_boosting(X, y, params))
+
+    def test_histogram_width_follows_the_data_not_n_bins(self):
+        # 200 rows have at most 199 cuts per feature, so n_bins = 2**20 must
+        # give the trees of n_bins = 200 without 2**20-wide histograms
+        X, y = tied_matrix(11, n=200)
+        shared = dict(n_estimators=5, max_depth=None, max_leaves=12, min_samples_leaf=2)
+        narrow = HistGradientBoosting(ModelParams(n_bins=200, **shared)).fit(X, y)
+        tracemalloc.start()
+        try:
+            wide = HistGradientBoosting(ModelParams(n_bins=2**20, **shared)).fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_trees(wide.trees, narrow.trees)
+        # one 2**20-wide count histogram over 4 features is 32 MiB
+        assert peak < 2**20

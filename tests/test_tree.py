@@ -15,7 +15,10 @@ from wheatyield.learners import (
     save_model,
     train,
 )
-from wheatyield.learners.tree import column_order
+from wheatyield.learners import splits
+from wheatyield.learners.boosting import GradientBoosting
+from wheatyield.learners.forest import RandomForest
+from wheatyield.learners.tree import column_order, derived_rng, subsample_rows
 
 
 def enumerate_splits(X, y, min_leaf=1):
@@ -95,29 +98,49 @@ class TestBestSplit:
         # the chosen split must achieve the enumerated maximum gain; when
         # that maximum is unique the (feature, threshold) must match too
         # (distinct features can induce the identical partition, and such
-        # mathematically tied candidates resolve by float accumulation)
+        # mathematically tied candidates resolve by float accumulation);
+        # min_samples_leaf 2 and 3 move the first candidate off position 0
         rng = np.random.default_rng(42)
         for _ in range(40):
             n = int(rng.integers(2, 31))
             d = int(rng.integers(1, 6))
             X = np.round(rng.normal(size=(n, d)), 2)
             y = rng.normal(size=n)
-            got = best_split(X, y)
-            cands = enumerate_splits(X, y)
-            if not cands:
-                assert got is None
-                continue
-            assert got is not None
-            gmax = cands[0][0]
-            tol = 1e-9 * max(1.0, abs(gmax))
-            assert got.gain == pytest.approx(gmax, abs=tol)
-            achieved = {
-                (f, thr) for g, f, thr in cands if g >= gmax - tol
-            }
-            assert (got.feature, got.threshold) in achieved
-            if len(achieved) == 1:
-                assert got.feature == cands[0][1]
-                assert got.threshold == pytest.approx(cands[0][2], abs=1e-12)
+            for min_leaf in (1, 2, 3):
+                got = best_split(X, y, min_samples_leaf=min_leaf)
+                cands = enumerate_splits(X, y, min_leaf)
+                if not cands:
+                    assert got is None
+                    continue
+                assert got is not None
+                gmax = cands[0][0]
+                tol = 1e-9 * max(1.0, abs(gmax))
+                assert got.gain == pytest.approx(gmax, abs=tol)
+                achieved = {
+                    (f, thr) for g, f, thr in cands if g >= gmax - tol
+                }
+                assert (got.feature, got.threshold) in achieved
+                if len(achieved) == 1:
+                    assert got.feature == cands[0][1]
+                    assert got.threshold == pytest.approx(cands[0][2], abs=1e-12)
+
+    @pytest.mark.parametrize("block_cells", [1, 50, 997])
+    def test_feature_blocks_change_no_bit(self, monkeypatch, block_cells):
+        # the scan takes the node's features a few at a time; a column and
+        # its copy, which score identically, land in different blocks, and
+        # the lower index must still win
+        rng = np.random.default_rng(8)
+        X = np.round(rng.normal(size=(120, 9)), 1)
+        X[:, 6] = X[:, 2]
+        y = 3 * X[:, 2] + rng.normal(size=120)
+        cases = [{}, {"min_samples_leaf": 7}, {"row_subset": np.arange(3, 100, 2)},
+                 {"feature_subset": np.array([6, 1, 2, 8])}]
+        whole = [best_split(X, y, **case) for case in cases]
+        tree = grow_tree(X, y, max_depth=4, min_samples_leaf=2)
+        assert whole[0].feature == 2
+        monkeypatch.setattr(splits, "_BLOCK_CELLS", block_cells)
+        assert [best_split(X, y, **case) for case in cases] == whole
+        assert_same_nodes(grow_tree(X, y, max_depth=4, min_samples_leaf=2), tree)
 
 
 def reference_grow_tree(X, y, *, max_depth, min_samples_leaf, max_features, rng, root_rows):
@@ -211,6 +234,82 @@ class TestGrowTree:
         for rows in ([2, 1], [1, 1, 3]):
             with pytest.raises(ValueError, match="strictly ascending"):
                 grow_tree(X, y, max_depth=2, min_samples_leaf=1, root_rows=np.array(rows))
+
+
+def assert_same_nodes(got, want):
+    # bytes, not ==, so that -0.0 and 0.0 thresholds count as different
+    for name in TreeNodes.__slots__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def ensemble_problems(draw):
+    """Tied matrices for the ensembles' rank path: values from a few
+    levels that include both -0.0 and 0.0, duplicated rows, optionally a
+    constant column."""
+    n_base = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 5))
+    levels = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+    base = np.array(
+        draw(st.lists(levels, min_size=n_base * d, max_size=n_base * d)), dtype=np.float64
+    ).reshape(n_base, d)
+    if draw(st.booleans()):
+        base[:, draw(st.integers(0, d - 1))] = 7.0
+    n = draw(st.integers(2, 30))
+    X = base[draw(st.lists(st.integers(0, n_base - 1), min_size=n, max_size=n))]
+    y = np.array(
+        draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)), dtype=np.float64
+    ) / draw(st.sampled_from([1.0, 3.0, 7.0]))
+    return {
+        "X": X,
+        "y": y,
+        "tree": {
+            "max_depth": draw(st.sampled_from([None, 1, 3])),
+            "min_samples_leaf": draw(st.integers(1, 4)),
+            "max_features": draw(st.integers(1, d)),
+        },
+        "n_estimators": draw(st.integers(1, 4)),
+        "subsample": draw(st.sampled_from([0.3, 0.6, 0.9])),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+class TestEnsembleRankPath:
+    """Forests and boosters sort through ranks computed once per fit; every
+    tree must equal the per-node float argsort reference on the same
+    derived_rng draws."""
+
+    @given(ensemble_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_random_forest_bootstrap_trees_match_reference(self, problem):
+        X, y, seed, tree = problem["X"], problem["y"], problem["seed"], problem["tree"]
+        params = ModelParams(n_estimators=problem["n_estimators"], bootstrap=True, seed=seed, **tree)
+        forest = RandomForest(params).fit(X, y)
+        n = X.shape[0]
+        for index, got in enumerate(forest.trees):
+            rng = derived_rng(seed, index)
+            rows = rng.integers(0, n, size=n)
+            want = reference_grow_tree(X[rows], y[rows], rng=rng, root_rows=None, **tree)
+            assert_same_nodes(got, want)
+
+    @given(ensemble_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_gradient_boosting_subsampled_trees_match_reference(self, problem):
+        X, y, seed, tree = problem["X"], problem["y"], problem["seed"], problem["tree"]
+        params = ModelParams(
+            n_estimators=problem["n_estimators"], learning_rate=0.5,
+            subsample=problem["subsample"], seed=seed, **tree,
+        )
+        booster = GradientBoosting(params).fit(X, y)
+        n = X.shape[0]
+        current = np.full(n, float(np.mean(y)))
+        for m, got in enumerate(booster.trees):
+            rng = derived_rng(seed, m)
+            rows = subsample_rows(n, params.subsample, rng)
+            want = reference_grow_tree(X, y - current, rng=rng, root_rows=rows, **tree)
+            assert_same_nodes(got, want)
+            current = current + params.learning_rate * want.predict(X)
 
 
 def fit_tree(X, y, **kwargs):
