@@ -54,28 +54,11 @@ class OrdinalSpec:
         except ValueError:
             raise UnknownCategoryError(field_name, value) from None
 
-    def decode(self, field_name: str, code: int) -> str:
-        """Inverse of :meth:`encode`."""
-        order = self.orders[field_name]
-        if not 0 <= code < len(order):
-            raise UnknownCategoryError(field_name, str(code))
-        return order[code]
-
     def labels(self, field_name: str) -> tuple[str, ...]:
         return self.orders[field_name]
 
 
 _DEFAULT_ORDINALS = OrdinalSpec()
-
-
-def encode_ordinal(field_name: str, value: str, spec: OrdinalSpec | None = None) -> int:
-    """0-based rank of an ordinal label in its declared category order."""
-    return (spec or _DEFAULT_ORDINALS).encode(field_name, value)
-
-
-def decode_ordinal(field_name: str, code: int, spec: OrdinalSpec | None = None) -> str:
-    """Label for a previously encoded rank."""
-    return (spec or _DEFAULT_ORDINALS).decode(field_name, code)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,18 +112,6 @@ class WeeklyWeather:
     ap_sum: float
     sr_sum: float
     h_avg: float
-
-
-@dataclass(frozen=True)
-class Instance:
-    """One zone-year row: named soil features, named weekly weather
-    features (empty in soil-only mode) and the yield target."""
-
-    zone_id: str
-    year: int
-    soil_features: dict[str, float]
-    weather_features: dict[str, float]
-    yield_t_ha: float
 
 
 @dataclass(frozen=True)

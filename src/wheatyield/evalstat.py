@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Instance
 from .features import (
     DEFAULT_FEATURE_PARAMS,
     FeatureParams,
@@ -112,26 +111,25 @@ def student_t_sf(t: float, df: float) -> float:
 
 
 def temporal_split(
-    instances: list[Instance],
+    instances: DesignMatrix,
     test_year: int,
     train_start: int | None = None,
     train_end: int | None = None,
-) -> tuple[list[Instance], list[Instance]]:
+) -> tuple[DesignMatrix, DesignMatrix]:
     """Train on years before test_year (clamped to the configured range),
     test on test_year exactly. Raises when either side is empty."""
-    train = [
-        inst
-        for inst in instances
-        if inst.year < test_year
-        and (train_start is None or inst.year >= train_start)
-        and (train_end is None or inst.year <= train_end)
-    ]
-    test = [inst for inst in instances if inst.year == test_year]
-    if not train:
+    years = np.fromiter((year for _, year in instances.meta), np.int64, len(instances.meta))
+    train = years < test_year
+    if train_start is not None:
+        train &= years >= train_start
+    if train_end is not None:
+        train &= years <= train_end
+    test = years == test_year
+    if not train.any():
         raise ValueError(f"empty training set for test year {test_year}")
-    if not test:
+    if not test.any():
         raise ValueError(f"no instances in test year {test_year}")
-    return train, test
+    return instances.take(np.flatnonzero(train)), instances.take(np.flatnonzero(test))
 
 
 def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -287,12 +285,12 @@ def _fit_grid(tasks: list[tuple], n_jobs: int) -> list[np.ndarray]:
             raise
 
 
-def run_experiment(instances: list[Instance], cfg: ExperimentConfig) -> Report:
+def run_experiment(instances: DesignMatrix, cfg: ExperimentConfig) -> Report:
     """Train every configured model per mode and assemble the report.
 
-    Instances must carry weather features when a weather mode is
-    requested; soil-only matrices reuse the same instances so the paired
-    comparison is over identical zone-years.
+    Instances must carry weather columns when a weather mode is
+    requested; soil-only matrices are cut from the same instances so the
+    paired comparison is over identical zone-years.
     """
     if not cfg.models:
         raise ValueError("no models configured")
@@ -304,17 +302,14 @@ def run_experiment(instances: list[Instance], cfg: ExperimentConfig) -> Report:
     if not (want_soil or want_sw):
         raise ValueError(f"unknown mode: {cfg.mode!r}")
 
-    matrices: dict[str, tuple[DesignMatrix, DesignMatrix]] = {}
-    if want_soil:
-        matrices[MODE_SOIL] = (
-            build_matrix(train_insts, MODE_SOIL, cfg.feature_params),
-            build_matrix(test_insts, MODE_SOIL, cfg.feature_params),
+    matrices = {
+        mode: (
+            build_matrix(train_insts, mode, cfg.feature_params),
+            build_matrix(test_insts, mode, cfg.feature_params),
         )
-    if want_sw:
-        matrices[MODE_SOIL_WEATHER] = (
-            build_matrix(train_insts, MODE_SOIL_WEATHER, cfg.feature_params),
-            build_matrix(test_insts, MODE_SOIL_WEATHER, cfg.feature_params),
-        )
+        for mode, wanted in ((MODE_SOIL, want_soil), (MODE_SOIL_WEATHER, want_sw))
+        if wanted
+    }
 
     # the wide soil+weather fits first, so the long ones start early
     modes = [m for m in (MODE_SOIL_WEATHER, MODE_SOIL) if m in matrices]
@@ -359,7 +354,7 @@ def run_experiment(instances: list[Instance], cfg: ExperimentConfig) -> Report:
         )
     return Report(
         rows=rows,
-        train_years=tuple(sorted({i.year for i in train_insts})),
+        train_years=tuple(sorted({year for _, year in train_insts.meta})),
         test_year=cfg.test_year,
         seed=cfg.seed,
         config_digest=cfg.config_digest,

@@ -16,11 +16,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .domain import CropRecord, Instance, OrdinalSpec, SoilRecord, WeeklyWeather
+from .domain import CropRecord, OrdinalSpec, SoilRecord, WeeklyWeather
 from .ingest import carry_forward_soil
 
 MODE_SOIL = "soil_only"
@@ -29,6 +30,7 @@ MODE_SOIL_WEATHER = "soil_weather"
 SOIL_FEATURES = ("p", "k", "mg", "ph")
 SOIL_ORDINALS = ("soil_type", "stone_content", "organic_matter", "caco3")
 WEEKLY_AGGREGATES = ("t_avg", "dd_sum", "egd_total", "ap_sum", "sr_sum", "h_avg")
+_aggregates = attrgetter(*WEEKLY_AGGREGATES)
 
 EGD_THRESHOLD_C = 5.0
 
@@ -132,46 +134,6 @@ class InstanceRejection:
     missing_weeks: tuple[int, ...] = ()
 
 
-def build_instance(
-    crop: CropRecord,
-    soil: SoilRecord,
-    weeks: dict[int, WeeklyWeather],
-    mode: str,
-    params: FeatureParams = DEFAULT_FEATURE_PARAMS,
-    ordinals: OrdinalSpec | None = None,
-) -> Instance | InstanceRejection:
-    """Assemble one zone-year instance from its soil state and weekly weather.
-
-    In soil_weather mode every week in the growth window must be present;
-    otherwise an :class:`InstanceRejection` names the missing weeks.
-    """
-    soil_features = soil_feature_values(soil, ordinals)
-    weather_features: dict[str, float] = {}
-    if mode == MODE_SOIL_WEATHER:
-        missing = tuple(w for w in params.weeks() if w not in weeks)
-        if missing:
-            return InstanceRejection(
-                crop.zone_id,
-                crop.year,
-                f"missing weeks {list(missing)} in growth window",
-                missing_weeks=missing,
-            )
-        for week in params.weeks():
-            agg = weeks[week]
-            for name in WEEKLY_AGGREGATES:
-                weather_features[f"w{week}_{name}"] = float(getattr(agg, name))
-    elif mode != MODE_SOIL:
-        raise ValueError(f"unknown mode: {mode!r}")
-
-    return Instance(
-        zone_id=crop.zone_id,
-        year=crop.year,
-        soil_features=soil_features,
-        weather_features=weather_features,
-        yield_t_ha=crop.yield_t_ha,
-    )
-
-
 @dataclass
 class DesignMatrix:
     """Column-named numeric matrix plus target and per-row identity."""
@@ -181,52 +143,50 @@ class DesignMatrix:
     target: np.ndarray
     meta: list[tuple[str, int]] = field(default_factory=list)
 
+    def __len__(self) -> int:
+        return int(self.rows.shape[0])
+
     @property
     def n_rows(self) -> int:
-        return int(self.rows.shape[0])
+        return len(self)
 
     @property
     def n_cols(self) -> int:
         return int(self.rows.shape[1])
 
+    def take(self, index: np.ndarray) -> DesignMatrix:
+        """The rows at the integer positions ``index``, in that order."""
+        meta = [self.meta[i] for i in index.tolist()]
+        return DesignMatrix(self.column_names, self.rows[index], self.target[index], meta)
+
 
 def build_matrix(
-    instances: list[Instance],
+    instances: DesignMatrix,
     mode: str,
     params: FeatureParams = DEFAULT_FEATURE_PARAMS,
 ) -> DesignMatrix:
-    """Stack instances into a design matrix, preserving input order.
+    """The mode's columns of an instance matrix, rows in order.
 
-    Raises on duplicate (zone_id, year) and on any non-finite value.
+    The mode's names must be the first columns of ``instances``: soil comes
+    first, so a soil-only matrix is cut from soil_weather instances and both
+    modes compare the exact same zone-years. The result may share memory
+    with ``instances``. Raises on duplicate (zone_id, year) and on any
+    non-finite value.
     """
     names = feature_names(mode, params)
+    if instances.column_names[: len(names)] != names:
+        raise ValueError(f"instance columns do not start with the {mode} columns")
     seen: set[tuple[str, int]] = set()
-    data = np.empty((len(instances), len(names)), dtype=np.float64)
-    target = np.empty(len(instances), dtype=np.float64)
-    meta: list[tuple[str, int]] = []
-    for i, inst in enumerate(instances):
-        key = (inst.zone_id, inst.year)
+    for key in instances.meta:
         if key in seen:
             raise ValueError(f"duplicate instance for zone {key[0]} year {key[1]}")
         seen.add(key)
-        # soil-only matrices may be cut from soil_weather instances so both
-        # modes compare the exact same zone-years
-        source = (
-            inst.soil_features
-            if mode == MODE_SOIL
-            else {**inst.soil_features, **inst.weather_features}
-        )
-        try:
-            data[i] = [source[name] for name in names]
-        except KeyError as exc:
-            raise ValueError(f"instance {key} missing feature {exc}") from None
-        target[i] = inst.yield_t_ha
-        meta.append(key)
+    data = np.ascontiguousarray(instances.rows[:, : len(names)])
     if data.size and not np.isfinite(data).all():
         raise ValueError("design matrix contains non-finite values")
-    if target.size and not np.isfinite(target).all():
+    if instances.target.size and not np.isfinite(instances.target).all():
         raise ValueError("target contains non-finite values")
-    return DesignMatrix(column_names=names, rows=data, target=target, meta=meta)
+    return DesignMatrix(names, data, instances.target, list(instances.meta))
 
 
 def build_instances(
@@ -236,19 +196,24 @@ def build_instances(
     mode: str,
     params: FeatureParams = DEFAULT_FEATURE_PARAMS,
     ordinals: OrdinalSpec | None = None,
-) -> tuple[list[Instance], list[InstanceRejection]]:
+) -> tuple[DesignMatrix, list[InstanceRejection]]:
     """Build every instance the records allow, skipping zone-years that
-    lack a past soil test or (in soil_weather mode) complete weeks, or whose
-    weekly sums overflow. ``weather`` is a ``WEATHER_DTYPE`` array.
+    lack a past soil test or whose weekly sums overflow or (in soil_weather
+    mode) that lack complete weeks. ``weather`` is a ``WEATHER_DTYPE`` array.
 
-    Returns (instances, skipped). Instance order follows crop order.
+    Returns (instances, skipped): one row of ``feature_names(mode, params)``
+    per zone-year, in crop order, with (zone_id, year) as ``meta`` and the
+    yield as ``target``.
     """
+    names = feature_names(mode, params)
+    n_soil = len(SOIL_FEATURES) + len(SOIL_ORDINALS)
+    window = params.weeks() if mode == MODE_SOIL_WEATHER else range(0)
     soil_by_zone: dict[str, list[SoilRecord]] = {}
     for rec in soils:
         soil_by_zone.setdefault(rec.zone_id, []).append(rec)
 
     days_by_zone: dict[str, np.ndarray] = {}
-    if mode == MODE_SOIL_WEATHER:  # one (zone, day) sort, then a day-sorted slice per zone
+    if window:  # one (zone, day) sort, then a day-sorted slice per zone
         codes: dict[str, int] = {}
         zone_code = np.fromiter(
             (codes.setdefault(z, len(codes)) for z in weather["zone_id"]), np.int64, len(weather)
@@ -257,7 +222,9 @@ def build_instances(
         bounds = np.cumsum([0, *np.bincount(zone_code)]).tolist()
         days_by_zone = {zone: ordered[lo:hi] for zone, lo, hi in zip(codes, bounds, bounds[1:])}
 
-    instances: list[Instance] = []
+    rows = np.empty((len(crops), len(names)), dtype=np.float64)
+    target = np.empty(len(crops), dtype=np.float64)
+    meta: list[tuple[str, int]] = []
     skipped: list[InstanceRejection] = []
     for crop in crops:
         soil = carry_forward_soil(soil_by_zone.get(crop.zone_id, []), crop.zone_id, crop.year)
@@ -270,20 +237,31 @@ def build_instances(
             continue
 
         weeks: dict[int, WeeklyWeather] = {}
-        if mode == MODE_SOIL_WEATHER:
+        if window:
             days = days_by_zone.get(crop.zone_id, weather[:0])
             try:
                 weeks = window_weeks(days, crop.sowing_date.toordinal(), params)
             except OverflowError as exc:
                 skipped.append(InstanceRejection(crop.zone_id, crop.year, str(exc)))
                 continue
-
-        built = build_instance(crop, soil, weeks, mode, params, ordinals)
-        if isinstance(built, InstanceRejection):
-            skipped.append(built)
-        else:
-            instances.append(built)
-    return instances, skipped
+        row = rows[len(meta)]
+        row[:n_soil] = list(soil_feature_values(soil, ordinals).values())
+        missing = tuple(w for w in window if w not in weeks)
+        if missing:
+            skipped.append(
+                InstanceRejection(
+                    crop.zone_id,
+                    crop.year,
+                    f"missing weeks {list(missing)} in growth window",
+                    missing_weeks=missing,
+                )
+            )
+            continue
+        row[n_soil:] = [v for week in window for v in _aggregates(weeks[week])]
+        target[len(meta)] = crop.yield_t_ha
+        meta.append((crop.zone_id, crop.year))
+    n = len(meta)
+    return DesignMatrix(names, rows[:n], target[:n], meta), skipped
 
 
 def write_features_csv(matrix: DesignMatrix, path: str | Path) -> None:

@@ -11,7 +11,7 @@ identically because JSON floats round-trip exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,9 @@ from ..features import DesignMatrix
 from .boosting import GradientBoosting
 from .forest import ExtraTrees, RandomForest
 from .histboost import HistGradientBoosting
-from .splits import Split, best_split
+from .splits import best_split
 from .svr import LinearSVR
-from .tree import DecisionTree, TreeNodes, grow_tree
+from .tree import DecisionTree
 
 MODEL_FORMAT = "wheatyield.model"
 MODEL_VERSION = 1
@@ -94,9 +94,6 @@ class ModelParams:
             raise ValueError("svr_epsilon must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-    def with_(self, **kwargs) -> "ModelParams":
-        return replace(self, **kwargs)
 
 
 ESTIMATORS = {
@@ -214,10 +211,7 @@ __all__ = [
     "ModelParams",
     "TrainedModel",
     "MODEL_KINDS",
-    "Split",
     "best_split",
-    "grow_tree",
-    "TreeNodes",
     "DecisionTree",
     "RandomForest",
     "ExtraTrees",

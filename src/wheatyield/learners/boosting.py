@@ -27,7 +27,7 @@ class Boosting:
 
     def __init__(self, params):
         self.params = params
-        self.base_value = 0.0
+        self.base_value: float | None = None  # set by fit or load_state
         self.trees: list[TreeNodes] = []
         self.train_mse_path_: list[float] = []
 
@@ -53,7 +53,13 @@ class Boosting:
             self.train_mse_path_.append(float(np.mean((y - current) ** 2)))
         return self
 
+    def _check_fitted(self) -> None:
+        # n_estimators = 0 fits no tree, yet predicts the base value
+        if self.base_value is None:
+            raise RuntimeError("model is not fitted")
+
     def predict(self, X: np.ndarray) -> np.ndarray:
+        self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
         acc = np.full(X.shape[0], self.base_value)
         for tree in self.trees:
@@ -61,6 +67,7 @@ class Boosting:
         return acc
 
     def to_state(self) -> dict:
+        self._check_fitted()
         return {
             "base_value": self.base_value,
             "learning_rate": self.params.learning_rate,

@@ -72,6 +72,8 @@ class _BaseForest:
         return acc / len(self.trees)
 
     def to_state(self) -> dict:
+        if not self.trees:
+            raise RuntimeError("model is not fitted")
         return {"trees": [t.to_state() for t in self.trees]}
 
     def load_state(self, state: dict) -> None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wheatyield.learners import (
+    GradientBoosting,
     ModelParams,
     load_model,
     predict,
@@ -95,6 +96,23 @@ class TestGradientBoosting:
         save_model(model, tmp_path / "gb.json")
         loaded = load_model(tmp_path / "gb.json")
         assert np.array_equal(predict(model, X, names), predict(loaded, X, names))
+
+
+@pytest.mark.parametrize("cls", [GradientBoosting, HistGradientBoosting])
+class TestUnfittedBooster:
+    def test_predict_and_to_state_are_errors(self, cls):
+        booster = cls(ModelParams())
+        with pytest.raises(RuntimeError, match="not fitted"):
+            booster.predict(np.zeros((3, 2)))
+        with pytest.raises(RuntimeError, match="not fitted"):
+            booster.to_state()
+
+    def test_zero_rounds_is_fitted_and_round_trips(self, cls, tmp_path):
+        X, y, names = clustered_dataset()
+        model = train(cls.kind, X, y, ModelParams(n_estimators=0), names)
+        save_model(model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        assert np.array_equal(predict(loaded, X, names), np.full(len(y), y.mean()))
 
 
 class TestBinMapper:

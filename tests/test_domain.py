@@ -11,8 +11,6 @@ from wheatyield.domain import (
     UnknownCategoryError,
     WEATHER_DTYPE,
     ValidationRanges,
-    decode_ordinal,
-    encode_ordinal,
     validate,
     weather_rejections,
 )
@@ -53,30 +51,30 @@ def make_crop(**kwargs) -> CropRecord:
 
 class TestEncodeOrdinal:
     def test_first_element(self):
-        assert encode_ordinal("stone_content", "stoneless") == 0
+        assert OrdinalSpec().encode("stone_content", "stoneless") == 0
 
     def test_last_element(self):
-        assert encode_ordinal("soil_type", "deep fertile") == 3
+        assert OrdinalSpec().encode("soil_type", "deep fertile") == 3
 
     def test_rank_lookup(self):
-        assert encode_ordinal("caco3", "calc") == 2
+        assert OrdinalSpec().encode("caco3", "calc") == 2
 
     def test_unknown_label_names_field_and_label(self):
         with pytest.raises(UnknownCategoryError) as err:
-            encode_ordinal("soil_type", "granite")
+            OrdinalSpec().encode("soil_type", "granite")
         assert "soil_type" in str(err.value)
         assert "granite" in str(err.value)
 
     def test_unknown_field(self):
         with pytest.raises(UnknownCategoryError):
-            encode_ordinal("texture", "sandy")
+            OrdinalSpec().encode("texture", "sandy")
 
     def test_bijection_round_trip(self):
         spec = OrdinalSpec()
         for name, order in spec.orders.items():
-            codes = [encode_ordinal(name, label) for label in order]
+            codes = [spec.encode(name, label) for label in order]
             assert codes == list(range(len(order)))
-            assert [decode_ordinal(name, c) for c in codes] == list(order)
+            assert [spec.labels(name)[c] for c in codes] == list(order)
 
     def test_custom_order_override(self):
         spec = OrdinalSpec(orders={"soil_type": ("deep fertile", "shallow")})

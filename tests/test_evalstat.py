@@ -1,13 +1,11 @@
 import concurrent.futures
 import math
-from datetime import date
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wheatyield.domain import CropRecord, SoilRecord
 from wheatyield.evalstat import (
     ExperimentConfig,
     incomplete_beta,
@@ -19,7 +17,7 @@ from wheatyield.evalstat import (
     temporal_split,
     zscore_panel,
 )
-from wheatyield.features import build_instance, MODE_SOIL_WEATHER
+from wheatyield.features import MODE_SOIL_WEATHER, DesignMatrix, feature_names
 from wheatyield.learners import ModelParams
 
 
@@ -182,44 +180,43 @@ class TestMae:
             mae(np.zeros(3), np.zeros(2))
 
 
-def _instance(zone, year, yield_value=9.0, wiggle=0.0):
-    soil = SoilRecord(zone, year - 1, 25.0 + wiggle, 180.0, 60.0, 6.8,
-                      "medium", "low", "moderate", "calc")
-    from wheatyield.domain import WeeklyWeather
+SOIL_ROW = [180.0, 60.0, 6.8, 1.0, 1.0, 1.0, 2.0]  # k, mg, ph, then medium/low/moderate/calc
 
-    weeks = {
-        w: WeeklyWeather(w, 8.0 + wiggle, 56.0, 6, 10.0, 40.0, 78.0)
-        for w in range(17, 41)
-    }
-    crop = CropRecord(zone, year, date(year - 1, 10, 1), date(year, 8, 1), yield_value)
-    return build_instance(crop, soil, weeks, MODE_SOIL_WEATHER)
+
+def _instances(meta, rows, target):
+    """Soil+weather instances for zone-years ``meta``; a row is p, then the
+    other soil columns as above, then 24 weeks of six aggregates."""
+    return DesignMatrix(feature_names(MODE_SOIL_WEATHER), np.array(rows, dtype=np.float64),
+                        np.array(target, dtype=np.float64), list(meta))
 
 
 class TestTemporalSplit:
-    def make(self):
-        out = []
-        for year in range(2013, 2019):
+    def make(self, years=range(2013, 2019)):
+        meta, rows, target = [], [], []
+        for year in years:
             for i in range(4):
-                out.append(_instance(f"Z{i}", year, 8.0 + i * 0.5, wiggle=i))
-        return out
+                meta.append((f"Z{i}", year))
+                rows.append([25.0 + i, *SOIL_ROW, *[8.0 + i, 56.0, 6.0, 10.0, 40.0, 78.0] * 24])
+                target.append(8.0 + i * 0.5)
+        return _instances(meta, rows, target)
 
     def test_standard_split(self):
         train, test = temporal_split(self.make(), 2018, 2013, 2017)
-        assert {i.year for i in train} == set(range(2013, 2018))
-        assert {i.year for i in test} == {2018}
+        assert {year for _, year in train.meta} == set(range(2013, 2018))
+        assert {year for _, year in test.meta} == {2018}
         assert len(train) + len(test) == len(self.make())
 
     def test_training_range_clamps(self):
         train, _ = temporal_split(self.make(), 2018, 2015, 2016)
-        assert {i.year for i in train} == {2015, 2016}
+        assert {year for _, year in train.meta} == {2015, 2016}
 
     def test_empty_train_is_error(self):
-        data = [i for i in self.make() if i.year == 2018]
+        data = self.make(years=[2018])
         with pytest.raises(ValueError, match="training"):
             temporal_split(data, 2018)
 
     def test_empty_test_is_error(self):
-        data = [i for i in self.make() if i.year < 2018]
+        data = self.make(years=range(2013, 2018))
         with pytest.raises(ValueError, match="test year"):
             temporal_split(data, 2018)
 
@@ -227,23 +224,16 @@ class TestTemporalSplit:
 class TestRunExperiment:
     def small_instances(self):
         rng = np.random.default_rng(7)
-        from wheatyield.domain import WeeklyWeather
-
-        out = []
+        meta, rows, target = [], [], []
         for year in range(2016, 2019):
             for i in range(30):
                 dd = float(rng.uniform(40, 70))
-                weeks = {
-                    w: WeeklyWeather(w, 8.0, dd, 6, float(rng.uniform(5, 15)), 40.0, 78.0)
-                    for w in range(17, 41)
-                }
-                soil = SoilRecord(f"Z{i}", year - 1, float(rng.uniform(10, 50)), 180.0,
-                                  60.0, 6.8, "medium", "low", "moderate", "calc")
-                y = 6.0 + 0.05 * dd + float(rng.normal()) * 0.3
-                crop = CropRecord(f"Z{i}", year, date(year - 1, 10, 1),
-                                  date(year, 8, 1), y)
-                out.append(build_instance(crop, soil, weeks, MODE_SOIL_WEATHER))
-        return out
+                weeks = [[8.0, dd, 6.0, float(rng.uniform(5, 15)), 40.0, 78.0] for _ in range(24)]
+                p = float(rng.uniform(10, 50))
+                meta.append((f"Z{i}", year))
+                rows.append([p, *SOIL_ROW, *[v for week in weeks for v in week]])
+                target.append(6.0 + 0.05 * dd + float(rng.normal()) * 0.3)
+        return _instances(meta, rows, target)
 
     def config(self, **kwargs):
         models = ["decision_tree", "random_forest"]

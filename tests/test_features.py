@@ -1,16 +1,16 @@
 import random
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from wheatyield.domain import WEATHER_DTYPE, CropRecord, SoilRecord, WeeklyWeather
+from wheatyield.domain import WEATHER_DTYPE, CropRecord, SoilRecord
 from wheatyield.features import (
     FeatureParams,
     InstanceRejection,
     MODE_SOIL,
     MODE_SOIL_WEATHER,
-    build_instance,
     build_instances,
     build_matrix,
     feature_names,
@@ -137,37 +137,48 @@ class TestWeeklyAggregate:
             assert agg.dd_sum >= 0.0
 
 
-def complete_weeks(params: FeatureParams = FeatureParams()):
-    return {
-        w: WeeklyWeather(w, t_avg=8.0, dd_sum=56.0, egd_total=6, ap_sum=10.0,
-                         sr_sum=40.0, h_avg=78.0)
-        for w in params.weeks()
-    }
+def season(n_days=280, zone="Z1", sowing=date(2017, 10, 1)):
+    return [day(sowing + timedelta(days=i), zone=zone) for i in range(n_days)]
 
 
 class TestBuildInstance:
+    """One zone-year row, as ``build_instances`` fills it."""
+
     def test_complete_window_gives_152_features(self):
-        inst = build_instance(crop_record(), soil_record(), complete_weeks(), MODE_SOIL_WEATHER)
-        assert not isinstance(inst, InstanceRejection)
-        assert len(inst.soil_features) + len(inst.weather_features) == 152
+        instances, skipped = build_instances(
+            [crop_record()], [soil_record()], table(season()), MODE_SOIL_WEATHER
+        )
+        assert skipped == []
+        assert instances.rows.shape == (1, 152)
+        assert instances.column_names == feature_names(MODE_SOIL_WEATHER)
 
     def test_soil_only_needs_no_weather(self):
-        inst = build_instance(crop_record(), soil_record(), {}, MODE_SOIL)
-        assert not isinstance(inst, InstanceRejection)
-        assert len(inst.soil_features) == 8 and inst.weather_features == {}
+        instances, skipped = build_instances(
+            [crop_record()], [soil_record()], table([]), MODE_SOIL
+        )
+        assert skipped == []
+        assert instances.rows.shape == (1, 8)
+        assert instances.meta == [("Z1", 2018)] and list(instances.target) == [9.0]
 
     def test_missing_week_rejected_by_name(self):
-        weeks = complete_weeks()
-        del weeks[40]
-        got = build_instance(crop_record(), soil_record(), weeks, MODE_SOIL_WEATHER)
+        days = season()
+        del days[275]  # one of week 40's days
+        instances, skipped = build_instances(
+            [crop_record()], [soil_record()], table(days), MODE_SOIL_WEATHER
+        )
+        assert len(instances) == 0
+        got = skipped[0]
         assert isinstance(got, InstanceRejection)
         assert got.missing_weeks == (40,)
         assert "40" in got.reason
 
     def test_ordinals_encoded(self):
-        inst = build_instance(crop_record(), soil_record(), {}, MODE_SOIL)
-        assert inst.soil_features["soil_type"] == 1.0
-        assert inst.soil_features["caco3"] == 2.0
+        instances, _ = build_instances(
+            [crop_record()], [soil_record()], table(season()), MODE_SOIL_WEATHER
+        )
+        row = dict(zip(instances.column_names, instances.rows[0].tolist()))
+        assert row["soil_type"] == 1.0
+        assert row["caco3"] == 2.0
 
 
 class TestColumnOrder:
@@ -183,13 +194,14 @@ class TestColumnOrder:
 
 
 class TestBuildMatrix:
-    def make_instances(self, n):
-        out = []
-        for i in range(n):
-            crop = CropRecord(f"Z{i}", 2018, date(2017, 10, 1), date(2018, 8, 1), 9.0 + i)
-            inst = build_instance(crop, soil_record(), complete_weeks(), MODE_SOIL_WEATHER)
-            out.append(inst)
-        return out
+    def make_instances(self, n, mode=MODE_SOIL_WEATHER):
+        sowing = date(2017, 10, 1)
+        crops = [CropRecord(f"Z{i}", 2018, sowing, date(2018, 8, 1), 9.0 + i) for i in range(n)]
+        soils = [replace(soil_record(), zone_id=f"Z{i}", p=20.0 + i) for i in range(n)]
+        days = [d for i in range(n) for d in season(zone=f"Z{i}", sowing=sowing)]
+        instances, skipped = build_instances(crops, soils, table(days), mode)
+        assert skipped == []
+        return instances
 
     def test_shape_and_order(self):
         instances = self.make_instances(5)
@@ -199,29 +211,41 @@ class TestBuildMatrix:
         assert list(dm.target) == [9.0 + i for i in range(5)]
 
     def test_empty_matrix_keeps_columns(self):
-        dm = build_matrix([], MODE_SOIL_WEATHER)
+        dm = build_matrix(self.make_instances(0), MODE_SOIL_WEATHER)
         assert dm.rows.shape == (0, 152)
         assert len(dm.column_names) == 152
 
     def test_duplicate_zone_year_is_error(self):
         instances = self.make_instances(2)
         with pytest.raises(ValueError, match="duplicate"):
-            build_matrix([instances[0], instances[0]], MODE_SOIL_WEATHER)
+            build_matrix(instances.take(np.array([0, 0])), MODE_SOIL_WEATHER)
 
     def test_shuffle_rows_permutes_matrix(self):
         instances = self.make_instances(6)
         dm = build_matrix(instances, MODE_SOIL_WEATHER)
         perm = [3, 1, 5, 0, 2, 4]
-        dm2 = build_matrix([instances[i] for i in perm], MODE_SOIL_WEATHER)
+        dm2 = build_matrix(instances.take(np.array(perm)), MODE_SOIL_WEATHER)
         assert np.array_equal(dm2.rows, dm.rows[perm])
 
     def test_soil_matrix_from_weather_instances(self):
         dm = build_matrix(self.make_instances(3), MODE_SOIL)
         assert dm.rows.shape == (3, 8)
 
+    def test_soil_cut_is_the_soil_matrix(self):
+        cut = build_matrix(self.make_instances(4), MODE_SOIL)
+        alone = build_matrix(self.make_instances(4, MODE_SOIL), MODE_SOIL)
+        assert cut.column_names == alone.column_names == feature_names(MODE_SOIL)
+        assert np.array_equal(cut.rows, alone.rows)
+        assert np.array_equal(cut.target, alone.target)
+        assert cut.meta == alone.meta
+
+    def test_weather_columns_need_weather_instances(self):
+        with pytest.raises(ValueError, match="soil_weather columns"):
+            build_matrix(self.make_instances(2, MODE_SOIL), MODE_SOIL_WEATHER)
+
     def test_non_finite_rejected(self):
         instances = self.make_instances(1)
-        instances[0].soil_features["p"] = float("inf")
+        instances.rows[0, 0] = float("inf")
         with pytest.raises(ValueError, match="non-finite"):
             build_matrix(instances, MODE_SOIL_WEATHER)
 
@@ -249,7 +273,7 @@ class TestBuildInstancesPipeline:
 
     def test_incomplete_final_week_skipped(self):
         instances, skipped = self.they(279)
-        assert instances == []
+        assert len(instances) == 0
         assert len(skipped) == 1 and skipped[0].missing_weeks == (40,)
 
     def test_min_days_override_accepts_partial_week(self):
@@ -263,7 +287,7 @@ class TestBuildInstancesPipeline:
         old = SoilRecord("Z1", 2019, 25.0, 180.0, 60.0, 6.8,
                          "medium", "low", "moderate", "calc")
         instances, skipped = build_instances([crop], [old], table(days), MODE_SOIL_WEATHER)
-        assert instances == []
+        assert len(instances) == 0
         assert "soil test" in skipped[0].reason
 
     def test_row_order_and_other_zones_do_not_matter(self):
@@ -276,4 +300,8 @@ class TestBuildInstancesPipeline:
         rng.shuffle(days)
         mixed, _ = build_instances([crop], [soil_record()], table(days), MODE_SOIL_WEATHER)
         alone, _ = build_instances([crop], [soil_record()], table(ours), MODE_SOIL_WEATHER)
-        assert mixed == alone and len(mixed) == 1
+        assert len(mixed) == 1
+        assert mixed.column_names == alone.column_names
+        assert np.array_equal(mixed.rows, alone.rows)
+        assert np.array_equal(mixed.target, alone.target)
+        assert mixed.meta == alone.meta

@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 
-from wheatyield.domain import Instance
 from wheatyield.evalstat import ExperimentConfig, run_experiment
-from wheatyield.features import FeatureParams, soil_feature_names, weather_feature_names
+from wheatyield.features import MODE_SOIL_WEATHER, DesignMatrix, FeatureParams, feature_names
 from wheatyield.learners import (
+    ExtraTrees,
     ModelParams,
+    RandomForest,
     load_model,
     predict,
     save_model,
@@ -25,13 +27,9 @@ def assert_widths_agree(kind, params, seed):
     # 8 soil columns and one week of 6 weather columns; the model is fitted
     # on one and on two worker processes, and the reports must match
     window = FeatureParams(week_start=17, week_end=17)
-    soil_names, weather_names = soil_feature_names(), weather_feature_names(window)
-    X, y, _ = dataset(seed, n=90, d=len(soil_names) + len(weather_names))
-    instances = [
-        Instance(f"Z{i // 3}", 2016 + i % 3, dict(zip(soil_names, row[:len(soil_names)])),
-                 dict(zip(weather_names, row[len(soil_names):])), float(target))
-        for i, (row, target) in enumerate(zip(X, y))
-    ]
+    names = feature_names(MODE_SOIL_WEATHER, window)
+    X, y, _ = dataset(seed, n=90, d=len(names))
+    instances = DesignMatrix(names, X, y, [(f"Z{i // 3}", 2016 + i % 3) for i in range(len(X))])
     reports = [
         run_experiment(instances, ExperimentConfig(
             models=[kind], model_params={kind: params}, train_start=2016,
@@ -113,3 +111,11 @@ class TestExtraTrees:
         baseline = float(np.mean((y - y.mean()) ** 2))
         assert float(np.mean((y - pred) ** 2)) < 0.5 * baseline
 
+
+@pytest.mark.parametrize("cls", [RandomForest, ExtraTrees])
+def test_unfitted_forest_predict_and_to_state_are_errors(cls):
+    forest = cls(ModelParams())
+    with pytest.raises(RuntimeError, match="not fitted"):
+        forest.predict(np.zeros((3, 2)))
+    with pytest.raises(RuntimeError, match="not fitted"):
+        forest.to_state()

@@ -1,10 +1,11 @@
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wheatyield.features import MODE_SOIL_WEATHER, build_matrix, feature_names
+from wheatyield.features import MODE_SOIL_WEATHER, DesignMatrix, build_matrix, feature_names
 from wheatyield.learners import (
     MODEL_KINDS,
     ColumnMismatchError,
@@ -46,7 +47,7 @@ class TestModelParams:
         ModelParams(max_depth=None)
 
     def test_with_override(self):
-        params = ModelParams().with_(seed=9, n_estimators=5)
+        params = replace(ModelParams(), seed=9, n_estimators=5)
         assert params.seed == 9 and params.n_estimators == 5
 
 
@@ -88,24 +89,18 @@ class TestTrainDispatch:
 
 class TestDesignMatrixApi:
     def matrix(self):
-        from datetime import date
-
-        from wheatyield.domain import CropRecord, SoilRecord, WeeklyWeather
-        from wheatyield.features import build_instance
-
-        instances = []
         rng = np.random.default_rng(2)
+        meta, rows, target = [], [], []
         for i in range(25):
-            weeks = {
-                w: WeeklyWeather(w, 8.0, float(rng.uniform(30, 70)), 6,
-                                 float(rng.uniform(2, 20)), 40.0, 78.0)
-                for w in range(17, 41)
-            }
-            soil = SoilRecord(f"Z{i}", 2016, float(rng.uniform(15, 40)), 180.0, 60.0,
-                              6.8, "medium", "low", "moderate", "calc")
-            crop = CropRecord(f"Z{i}", 2018, date(2017, 10, 1), date(2018, 8, 1),
-                              float(rng.uniform(7, 12)))
-            instances.append(build_instance(crop, soil, weeks, MODE_SOIL_WEATHER))
+            weeks = [[8.0, float(rng.uniform(30, 70)), 6.0, float(rng.uniform(2, 20)), 40.0, 78.0]
+                     for _ in range(17, 41)]
+            # p, k, mg, ph, then medium/low/moderate/calc as ranks
+            soil = [float(rng.uniform(15, 40)), 180.0, 60.0, 6.8, 1.0, 1.0, 1.0, 2.0]
+            meta.append((f"Z{i}", 2018))
+            rows.append(soil + [v for week in weeks for v in week])
+            target.append(float(rng.uniform(7, 12)))
+        instances = DesignMatrix(feature_names(MODE_SOIL_WEATHER), np.array(rows),
+                                 np.array(target), meta)
         return build_matrix(instances, MODE_SOIL_WEATHER)
 
     def test_train_on_matrix_and_predict_matrix(self):

@@ -7,9 +7,7 @@ from wheatyield.learners import (
     ColumnMismatchError,
     DecisionTree,
     ModelParams,
-    TreeNodes,
     best_split,
-    grow_tree,
     load_model,
     predict,
     save_model,
@@ -18,7 +16,7 @@ from wheatyield.learners import (
 from wheatyield.learners import splits
 from wheatyield.learners.boosting import GradientBoosting
 from wheatyield.learners.forest import RandomForest
-from wheatyield.learners.tree import column_order, derived_rng, subsample_rows
+from wheatyield.learners.tree import TreeNodes, column_order, derived_rng, grow_tree, subsample_rows
 
 
 def enumerate_splits(X, y, min_leaf=1):
