@@ -11,7 +11,7 @@ identically because JSON floats round-trip exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -123,17 +123,21 @@ def train(
     params: ModelParams,
     column_names: list[str] | None = None,
 ) -> TrainedModel:
-    """Fit one model kind on a feature matrix."""
+    """Fit one model kind on a feature matrix; every cell of X and y must be
+    finite."""
     try:
         cls = ESTIMATORS[kind]
     except KeyError:
         raise ValueError(f"unknown model kind: {kind!r}") from None
     X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if column_names is None:
         column_names = [f"x{i}" for i in range(X.shape[1])]
     if len(column_names) != X.shape[1]:
         raise ValueError("column_names length does not match matrix width")
-    estimator = cls(params).fit(X, np.asarray(y, dtype=np.float64))
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite values in training data")
+    estimator = cls(params).fit(X, y)
     return TrainedModel(kind=kind, column_names=list(column_names), params=params, estimator=estimator)
 
 
@@ -195,11 +199,17 @@ def load_model(path: str | Path) -> TrainedModel:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
+    kind = doc["kind"]
+    if kind not in ESTIMATORS:
+        raise ValueError(f"unknown model kind {kind!r} in {path}")
+    unknown = sorted(set(doc["params"]) - {f.name for f in fields(ModelParams)})
+    if unknown:
+        raise ValueError(f"unknown model parameters {unknown} in {path}")
     params = ModelParams(**doc["params"])
-    estimator = ESTIMATORS[doc["kind"]](params)
+    estimator = ESTIMATORS[kind](params)
     estimator.load_state(doc["state"])
     return TrainedModel(
-        kind=doc["kind"],
+        kind=kind,
         column_names=list(doc["column_names"]),
         params=params,
         estimator=estimator,

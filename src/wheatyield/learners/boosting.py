@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .splits import column_order, column_ranks
+from .splits import presort
 from .tree import TreeNodes, derived_rng, grow_tree, subsample_rows
 
 RoundGrower = Callable[[np.ndarray, int], TreeNodes]
@@ -88,9 +88,7 @@ class GradientBoosting(Boosting):
         p = self.params
         n, d = X.shape
         max_features = d if p.max_features is None else min(p.max_features, d)
-        # X is fixed across rounds: sort and rank it once per fit
-        order = column_order(X)
-        ranks = column_ranks(X, order)
+        presorted = presort(X)  # X is fixed across rounds
 
         def grow(residual: np.ndarray, m: int) -> TreeNodes:
             rng = derived_rng(p.seed, m)
@@ -103,8 +101,7 @@ class GradientBoosting(Boosting):
                 max_features=max_features,
                 rng=rng,
                 root_rows=rows,
-                order=order,
-                ranks=ranks,
+                presorted=presorted,
             )
 
         return grow

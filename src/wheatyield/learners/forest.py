@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .splits import column_ranks
+from .splits import presort
 from .tree import TreeNodes, derived_rng, grow_tree
 
 
@@ -30,15 +30,21 @@ class _BaseForest:
         self.trees: list[TreeNodes] = []
 
     def _build_one(
-        self, X: np.ndarray, y: np.ndarray, ranks: np.ndarray | None, index: int
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        presorted: tuple[np.ndarray, np.ndarray] | None,
+        index: int,
     ) -> TreeNodes:
         rng = derived_rng(self.params.seed, index)
         n, d = X.shape
         if self.use_bootstrap and self.params.bootstrap:
             rows = rng.integers(0, n, size=n)
             X, y = X[rows], y[rows]
-            if ranks is not None:
-                ranks = ranks.take(rows, axis=1)
+            if presorted is not None:
+                # the sample's sort is a radix sort of its rows' ranks
+                ranks = presorted[1].take(rows, axis=1)
+                presorted = (np.argsort(ranks, axis=1, kind="stable"), ranks)
         return grow_tree(
             X,
             y,
@@ -47,7 +53,7 @@ class _BaseForest:
             max_features=_resolve_max_features(self.params.max_features, d),
             rng=rng,
             random_thresholds=self.random_thresholds,
-            ranks=ranks,
+            presorted=presorted,
         )
 
     def fit(self, X: np.ndarray, y: np.ndarray):
@@ -57,9 +63,8 @@ class _BaseForest:
             raise ValueError("cannot train on an empty matrix")
         if self.params.n_estimators < 1:
             raise ValueError("forests need n_estimators >= 1")
-        # rank X once: a tree's sort is then a radix sort of its rows' ranks
-        ranks = None if self.random_thresholds else column_ranks(X)
-        self.trees = [self._build_one(X, y, ranks, i) for i in range(self.params.n_estimators)]
+        presorted = None if self.random_thresholds else presort(X)
+        self.trees = [self._build_one(X, y, presorted, i) for i in range(self.params.n_estimators)]
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:

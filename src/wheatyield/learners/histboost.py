@@ -1,11 +1,12 @@
 """Histogram-based gradient boosting with leaf-wise tree growth.
 
-Features are pre-binned once per fit: when a feature has at most n_bins
-distinct values the bin edges are exact midpoints between consecutive
-distinct values (so split candidates coincide with the exhaustive search),
-otherwise edges come from equal-frequency cuts. Trees grow leaf-wise: the
-leaf whose best split removes the most squared error is expanded first,
-until max_leaves is reached or no leaf can improve. A node's residual-sum
+Features are binned once per fit from the ranks of ``splits.presort``:
+when a feature has at most n_bins distinct values its bins are its ranks
+and the bin edges are the exact search's midpoints between consecutive
+distinct values (so split candidates coincide), otherwise the ranks are
+grouped at equal-frequency cuts. Trees grow leaf-wise: the leaf whose
+best split removes the most squared error is expanded first, until
+max_leaves is reached or no leaf can improve. A node's residual-sum
 histogram is one vectorized bincount over all features, so each tree level
 costs one pass over the node's rows. Only the smaller child of a split
 bins its counts; the larger child's are the parent's minus those, exact
@@ -23,54 +24,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boosting import Boosting, RoundGrower
+from .splits import midpoint, presort
 from .tree import TreeNodes, _Growth, derived_rng, subsample_rows
 
 
-class _BinMapper:
-    """Per-feature threshold grid and integer binning."""
+def bin_features(
+    X: np.ndarray, n_bins: int, presorted: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Histogram codes of X's columns: an (n, d) matrix of bins, and each
+    column's thresholds, from ``presorted = splits.presort(X)``.
 
-    def __init__(self, n_bins: int):
-        if n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
-        self.n_bins = n_bins
-        self.thresholds: list[np.ndarray] = []
-
-    def fit(self, X: np.ndarray) -> "_BinMapper":
-        self.thresholds = []
-        for j in range(X.shape[1]):
-            col = X[:, j]
-            distinct = np.unique(col)
-            if distinct.size <= 1:
-                thr = np.empty(0, dtype=np.float64)
-            elif distinct.size <= self.n_bins:
-                thr = 0.5 * (distinct[:-1] + distinct[1:])
-                # keep "x <= thr" equivalent to the intended partition even
-                # when the midpoint rounds up onto the larger value
-                thr = np.where(thr >= distinct[1:], distinct[:-1], thr)
-            else:
-                xs = np.sort(col)
-                n = xs.size
-                positions = (np.arange(1, self.n_bins) * n) // self.n_bins
-                cuts = np.unique(xs[positions])
-                edges = []
-                for cut in cuts:
-                    i = int(np.searchsorted(distinct, cut))
-                    if i == 0:
-                        continue
-                    lo, hi = distinct[i - 1], distinct[i]
-                    t = 0.5 * (lo + hi)
-                    if t >= hi:
-                        t = lo
-                    edges.append(t)
-                thr = np.unique(np.asarray(edges, dtype=np.float64))
-            self.thresholds.append(thr)
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        binned = np.empty(X.shape, dtype=np.int32)
-        for j, thr in enumerate(self.thresholds):
-            binned[:, j] = np.searchsorted(thr, X[:, j], side="left")
-        return binned
+    A column with k distinct values cuts before the ranks 1..k-1 when
+    k <= n_bins, so its bins are its ranks. Otherwise it cuts before the
+    distinct ranks found at equal-frequency positions, rank 0 excepted.
+    The threshold of the cut before rank c is the midpoint of the values
+    ranked c - 1 and c, so "x <= threshold" puts x in a bin <= the cut's.
+    """
+    order, ranks = presorted
+    n, d = X.shape
+    binned = np.empty((n, d), dtype=ranks.dtype)
+    thresholds = []
+    for j in range(d):
+        xs = X[order[j], j]
+        sorted_ranks = ranks[j].take(order[j])
+        k = int(sorted_ranks[-1]) + 1
+        if k <= n_bins:
+            cuts = np.arange(1, k)
+            binned[:, j] = ranks[j]
+        else:
+            positions = (np.arange(1, n_bins) * n) // n_bins
+            cuts = np.unique(sorted_ranks[positions])
+            cuts = cuts[cuts > 0]
+            binned[:, j] = np.searchsorted(cuts, ranks[j], side="right")
+        # the first sorted position of each cut's rank, and the one before it
+        first = np.searchsorted(sorted_ranks, cuts)
+        thresholds.append(midpoint(xs[first - 1], xs[first]))
+    return binned, thresholds
 
 
 @dataclass
@@ -182,13 +171,10 @@ class _HistTreeBuilder:
             # record the cut as the midpoint between the adjacent observed
             # values, like the exact search (the empty bin gap between a
             # boundary and the node's values carries no information)
-            lo = float(self.X[rows_l, f].max())
-            hi = float(self.X[rows_r, f].min())
-            thr = 0.5 * (lo + hi)
-            if thr >= hi:
-                thr = lo
             growth.feature[leaf.node_id] = f
-            growth.threshold[leaf.node_id] = thr
+            growth.threshold[leaf.node_id] = float(
+                midpoint(self.X[rows_l, f].max(), self.X[rows_r, f].min())
+            )
             growth.left[leaf.node_id] = left.node_id
             growth.right[leaf.node_id] = right.node_id
 
@@ -207,11 +193,11 @@ class HistGradientBoosting(Boosting):
 
     def _round_grower(self, X: np.ndarray) -> RoundGrower:
         p = self.params
-        mapper = _BinMapper(p.n_bins).fit(X)
+        binned, thresholds = bin_features(X, p.n_bins, presort(X))
         builder = _HistTreeBuilder(
             X,
-            mapper.transform(X),
-            mapper.thresholds,
+            binned,
+            thresholds,
             max_depth=p.max_depth,
             min_samples_leaf=p.min_samples_leaf,
             max_leaves=p.max_leaves,

@@ -23,22 +23,16 @@ class Split:
     gain: float
 
 
-def column_order(X: np.ndarray) -> np.ndarray:
-    """Row ids of X sorted stably by each column: a (d, n) matrix."""
-    return np.argsort(X.T, axis=1, kind="stable")
+def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Code X once per fit: ``(order, ranks)``, both (d, n) matrices.
 
-
-def column_ranks(X: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
-    """Dense ranks of X's columns: a (d, n) matrix of the smallest unsigned
-    dtype that holds n - 1.
-
-    Equal values get equal ranks and ranks keep the values' order, so a
+    order holds X's row ids sorted stably by each column. ranks holds the
+    columns' dense ranks, in the smallest unsigned dtype that holds n - 1:
+    equal values get equal ranks and ranks keep the values' order, so a
     stable argsort of any row subset of the ranks equals a stable argsort of
-    the same rows of X; numpy radix-sorts 8- and 16-bit keys. order is
-    :func:`column_order` of X, when the caller has it.
+    the same rows of X; numpy radix-sorts 8- and 16-bit keys.
     """
-    if order is None:
-        order = column_order(X)
+    order = np.argsort(X.T, axis=1, kind="stable")
     d, n = order.shape
     xs = np.take_along_axis(X.T, order, axis=1)
     dtype = np.min_scalar_type(max(n - 1, 0))
@@ -46,7 +40,14 @@ def column_ranks(X: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, dtype=dtype, out=sorted_ranks[:, 1:])
     ranks = np.empty_like(sorted_ranks)
     np.put_along_axis(ranks, order, sorted_ranks, axis=1)
-    return ranks
+    return order, ranks
+
+
+def midpoint(lo, hi):
+    """Cut between sorted neighbours lo < hi: their midpoint, or lo when the
+    midpoint rounds up onto hi, so that "x <= cut" still separates them."""
+    mid = 0.5 * (lo + hi)
+    return np.where(mid >= hi, lo, mid)
 
 
 # one block of the exact scan gathers about this many (feature, row) cells,
@@ -70,7 +71,7 @@ def _sorted_search(
     Row j of ids holds the node's row ids in stable ascending order of
     feature feat_ids[j] (ascending). ranks is a C-contiguous (d, n) matrix
     of integer codes of X's columns that keeps their order and ties (see
-    :func:`column_ranks`): two sorted neighbours are a candidate cut
+    :func:`presort`): two sorted neighbours are a candidate cut
     exactly when their codes differ, so the scan reads codes, not floats.
     X is read only for the winning cut's two neighbours, whose midpoint is
     the threshold.
@@ -129,10 +130,7 @@ def _sorted_search(
     feature = int(feat_ids[best_col])
     below = float(X[ids[best_col, best_pos], feature])
     above = float(X[ids[best_col, best_pos + 1], feature])
-    threshold = 0.5 * (below + above)
-    if threshold >= above:  # midpoint rounded up; keep "x <= thr" consistent
-        threshold = below
-    return Split(feature, threshold, best_gain)
+    return Split(feature, float(midpoint(below, above)), best_gain)
 
 
 def _random_search(
@@ -204,9 +202,8 @@ def best_split(
     if m < 2 or m < 2 * min_samples_leaf or feats.size == 0:
         return None
     Xr, yr = X[rows], y[rows]
-    order = column_order(Xr)
+    order, ranks = presort(Xr)
     mean = yr.mean()
     return _sorted_search(
-        Xr, column_ranks(Xr, order), yr, mean, (yr - mean).sum(), order[feats], feats,
-        min_samples_leaf,
+        Xr, ranks, yr, mean, (yr - mean).sum(), order[feats], feats, min_samples_leaf
     )

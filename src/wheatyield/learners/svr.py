@@ -29,8 +29,6 @@ class LinearSVR:
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] == 0:
             raise ValueError("cannot train on an empty matrix")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise ValueError("non-finite values in training data")
         n, d = X.shape
         p = self.params
 

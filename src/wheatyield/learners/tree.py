@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .splits import Split, _random_search, _sorted_search, column_order, column_ranks
+from .splits import Split, _random_search, _sorted_search, presort
 
 
 class TreeNodes:
@@ -102,8 +102,7 @@ def grow_tree(
     rng: np.random.Generator | None = None,
     random_thresholds: bool = False,
     root_rows: np.ndarray | None = None,
-    order: np.ndarray | None = None,
-    ranks: np.ndarray | None = None,
+    presorted: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TreeNodes:
     """Grow one regression tree.
 
@@ -112,21 +111,17 @@ def grow_tree(
     to one uniform draw per feature (extra-trees style). root_rows must be
     strictly ascending.
 
-    The exhaustive search sorts nothing at a node. Each searching node
-    holds its rows sorted by every column (a (d, m) row-id matrix) and
-    partitions that matrix stably between its children. Node rows stay
-    ascending, so a stable full sort filtered to a node equals a stable
-    sort of that node alone, and every split is the one :func:`best_split`
-    finds for the node's rows. The scan tells equal values from distinct
-    ones by their ranks (``column_ranks``), and reads X only for the
-    threshold.
-
-    Callers growing many trees sort once per fit and pass what they have:
-    ``order`` is :func:`column_order` of X, and ``ranks`` is
-    :func:`column_ranks` of X, or the columns of a larger matrix's ranks
-    that X's rows were drawn from (a bootstrap sample). With ranks alone
-    the tree radix-sorts them; with order alone it ranks from the order;
-    with neither it sorts X.
+    The exhaustive search sorts nothing. It needs ``presorted = (order,
+    ranks)``: X's rows sorted stably by each column and the columns' dense
+    ranks, as :func:`splits.presort` gives them, or the columns of a larger
+    matrix's ranks that X's rows were drawn from (a bootstrap sample) with
+    their stable argsort. Each searching node holds its rows sorted by
+    every column (a (d, m) row-id matrix) and partitions that matrix stably
+    between its children. Node rows stay ascending, so a stable full sort
+    filtered to a node equals a stable sort of that node alone, and every
+    split is the one :func:`best_split` finds for the node's rows. The scan
+    tells equal values from distinct ones by their ranks, and reads X only
+    for the threshold. The random search needs no presort.
     """
     if X.shape[0] == 0:
         raise ValueError("cannot grow a tree on an empty matrix")
@@ -145,6 +140,8 @@ def grow_tree(
         raise ValueError("feature subsampling requires an rng")
     if random_thresholds and rng is None:
         raise ValueError("random thresholds require an rng")
+    if not random_thresholds and presorted is None:
+        raise ValueError("the exhaustive search needs presorted=(order, ranks)")
     all_feats = np.arange(d, dtype=np.intp)
     growth = _Growth()
     goes_left = np.zeros(n, dtype=bool)
@@ -156,14 +153,9 @@ def grow_tree(
         # the node runs the exact scan, so it needs its sorted rows
         return not random_thresholds and splittable(depth) and m >= max(2, 2 * min_samples_leaf)
 
-    root_sorted = None
+    root_sorted = ranks = None
     if searches(rows0.size, 0):
-        if order is None and ranks is None:
-            order = column_order(X)
-        if ranks is None:
-            ranks = column_ranks(X, order)
-        elif order is None:
-            order = np.argsort(ranks, axis=1, kind="stable")
+        order, ranks = presorted
         # row ids in the smallest dtype (16-bit at these sizes): the partitions
         # and gathers of the scan move a quarter of the bytes of intp ids
         root_sorted = order.astype(np.min_scalar_type(n - 1), copy=False)
@@ -246,6 +238,7 @@ class DecisionTree:
             y,
             max_depth=self.params.max_depth,
             min_samples_leaf=self.params.min_samples_leaf,
+            presorted=presort(X),
         )
         return self
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wheatyield.learners import (
     GradientBoosting,
@@ -12,7 +14,8 @@ from wheatyield.learners import (
     save_model,
     train,
 )
-from wheatyield.learners.histboost import HistGradientBoosting, _BinMapper
+from wheatyield.learners.histboost import HistGradientBoosting, bin_features
+from wheatyield.learners.splits import presort
 from wheatyield.learners.tree import TreeNodes, derived_rng, subsample_rows
 
 
@@ -115,33 +118,99 @@ class TestUnfittedBooster:
         assert np.array_equal(predict(loaded, X, names), np.full(len(y), y.mean()))
 
 
+def reference_bins(X, n_bins):
+    """Value-based binning, independent of the ranks: per column, exact
+    midpoints between distinct values when there are at most n_bins of
+    them, else midpoints below the values at equal-frequency positions;
+    bins by searchsorted on the thresholds."""
+    thresholds = []
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        distinct = np.unique(col)
+        if distinct.size <= 1:
+            thr = np.empty(0, dtype=np.float64)
+        elif distinct.size <= n_bins:
+            thr = 0.5 * (distinct[:-1] + distinct[1:])
+            thr = np.where(thr >= distinct[1:], distinct[:-1], thr)
+        else:
+            xs = np.sort(col)
+            positions = (np.arange(1, n_bins) * xs.size) // n_bins
+            edges = []
+            for cut in np.unique(xs[positions]):
+                i = int(np.searchsorted(distinct, cut))
+                if i == 0:
+                    continue
+                lo, hi = distinct[i - 1], distinct[i]
+                t = 0.5 * (lo + hi)
+                edges.append(lo if t >= hi else t)
+            thr = np.unique(np.asarray(edges, dtype=np.float64))
+        thresholds.append(thr)
+    binned = np.empty(X.shape, dtype=np.intp)
+    for j, thr in enumerate(thresholds):
+        binned[:, j] = np.searchsorted(thr, X[:, j], side="left")
+    return binned, thresholds
+
+
+def fit_bins(X, n_bins):
+    return bin_features(X, n_bins, presort(X))
+
+
+@st.composite
+def binning_problems(draw):
+    """Tied columns from a few levels (both -0.0 and 0.0 among them, and two
+    adjacent doubles whose midpoint rounds up) beside continuous ones,
+    duplicated rows, optionally a constant column, and n_bins from 2 to
+    beyond the row count, so both branches run."""
+    n_base = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 4))
+    levels = st.sampled_from([-1.5, -0.0, 0.0, 0.25, np.nextafter(1.0, 0.0), 1.0, 3.0])
+    values = st.one_of(levels, st.floats(-1e3, 1e3, allow_nan=False, width=32))
+    base = np.array(
+        draw(st.lists(values, min_size=n_base * d, max_size=n_base * d)), dtype=np.float64
+    ).reshape(n_base, d)
+    if draw(st.booleans()):
+        base[:, draw(st.integers(0, d - 1))] = 7.0
+    n = draw(st.integers(1, 60))
+    X = base[draw(st.lists(st.integers(0, n_base - 1), min_size=n, max_size=n))]
+    return X, draw(st.integers(2, n + 3))
+
+
 class TestBinMapper:
     def test_few_distinct_values_get_exact_midpoints(self):
         X = np.array([[0.0], [1.0], [1.0], [3.0]])
-        mapper = _BinMapper(8).fit(X)
-        assert list(mapper.thresholds[0]) == [0.5, 2.0]
-        binned = mapper.transform(X)
+        binned, thresholds = fit_bins(X, 8)
+        assert list(thresholds[0]) == [0.5, 2.0]
         assert list(binned[:, 0]) == [0, 1, 1, 2]
 
     def test_constant_feature_has_no_thresholds(self):
         X = np.full((10, 1), 2.5)
-        mapper = _BinMapper(4).fit(X)
-        assert mapper.thresholds[0].size == 0
+        _, thresholds = fit_bins(X, 4)
+        assert thresholds[0].size == 0
 
     def test_equal_frequency_binning_balances_counts(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(1000, 1))
-        mapper = _BinMapper(8).fit(X)
-        binned = mapper.transform(X)
+        binned, _ = fit_bins(X, 8)
         counts = np.bincount(binned[:, 0], minlength=8)
         assert counts.min() > 80 and counts.max() < 170
 
     def test_large_bin_budget_recovers_all_candidate_cuts(self):
         rng = np.random.default_rng(1)
         X = rng.integers(0, 10, size=(30, 1)).astype(float)
-        mapper = _BinMapper(64).fit(X)
+        _, thresholds = fit_bins(X, 64)
         distinct = np.unique(X[:, 0])
-        assert mapper.thresholds[0].size == distinct.size - 1
+        assert thresholds[0].size == distinct.size - 1
+
+    @given(binning_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_bins_equal_value_reference(self, problem):
+        X, n_bins = problem
+        binned, thresholds = fit_bins(X, n_bins)
+        want_binned, want_thresholds = reference_bins(X, n_bins)
+        assert np.array_equal(binned, want_binned)
+        assert len(thresholds) == len(want_thresholds)
+        for got, want in zip(thresholds, want_thresholds):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestHistGradientBoosting:
@@ -233,13 +302,12 @@ def reference_hist_boosting(X, y, p):
     """Leaf-wise histogram boosting that bins every node's counts and sums
     directly, in n_bins-wide histograms: no count is derived from a parent
     or sibling."""
-    mapper = _BinMapper(p.n_bins).fit(X)
-    binned = mapper.transform(X).astype(np.intp)
+    binned, thresholds = reference_bins(X, p.n_bins)
     n, d = X.shape
     width = p.n_bins
     offsets = np.arange(d) * width
     cut_ok = np.zeros((d, width - 1), dtype=bool)
-    for f, thr in enumerate(mapper.thresholds):
+    for f, thr in enumerate(thresholds):
         cut_ok[f, : thr.size] = True
 
     def node(rows, depth, resid):

@@ -161,6 +161,22 @@ class TestSerializationFormat:
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("kind", "boosted_stumps", "unknown model kind 'boosted_stumps'"),
+        ("params", {"max_depth": 2, "shrinkage": 0.1}, r"unknown model parameters \['shrinkage'\]"),
+    ], ids=["kind", "params"])
+    def test_reject_unknown_kind_and_params(self, tmp_path, field, value, message):
+        rng = np.random.default_rng(5)
+        model = train("decision_tree", rng.normal(size=(10, 2)), rng.normal(size=10),
+                      ModelParams(max_depth=2, min_samples_leaf=1), ["a", "b"])
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
     def test_document_shape(self, tmp_path):
         rng = np.random.default_rng(4)
         model = train("svr", rng.normal(size=(10, 2)), rng.normal(size=10),

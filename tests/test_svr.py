@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from wheatyield.learners import LinearSVR, ModelParams, load_model, predict, save_model, train
+from wheatyield.learners import (
+    MODEL_KINDS,
+    LinearSVR,
+    ModelParams,
+    load_model,
+    predict,
+    save_model,
+    train,
+)
 
 
 class TestLinearSVR:
@@ -39,10 +47,15 @@ class TestLinearSVR:
         assert np.array_equal(a.estimator.w, b.estimator.w)
         assert a.estimator.b == b.estimator.b
 
-    def test_non_finite_input_is_error(self):
-        X = np.array([[1.0], [float("nan")]])
-        with pytest.raises(ValueError, match="non-finite"):
-            train("svr", X, np.array([1.0, 2.0]), ModelParams(), ["x"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    def test_non_finite_input_is_error(self, kind, value, where):
+        X = np.arange(24.0).reshape(12, 2)
+        y = np.arange(12.0)
+        (X if where == "X" else y)[5] = value
+        with pytest.raises(ValueError, match="non-finite values in training data"):
+            train(kind, X, y, ModelParams(n_estimators=3, min_samples_leaf=1), ["a", "b"])
 
     def test_constant_column_gets_no_weight(self):
         rng = np.random.default_rng(3)

@@ -16,7 +16,7 @@ from wheatyield.learners import (
 from wheatyield.learners import splits
 from wheatyield.learners.boosting import GradientBoosting
 from wheatyield.learners.forest import RandomForest
-from wheatyield.learners.tree import TreeNodes, column_order, derived_rng, grow_tree, subsample_rows
+from wheatyield.learners.tree import TreeNodes, derived_rng, grow_tree, subsample_rows
 
 
 def enumerate_splits(X, y, min_leaf=1):
@@ -54,6 +54,15 @@ class TestBestSplit:
         assert split.feature == 0
         assert split.threshold == 0.5
         assert split.gain == pytest.approx(25.0)
+
+    def test_midpoint_rounding_onto_upper_value_keeps_lower(self):
+        # 0.5 * (lo + hi) rounds up to hi for these adjacent doubles, and
+        # "x <= hi" would send both rows left
+        lo, hi = np.nextafter(1.0, 0.0), 1.0
+        assert splits.midpoint(lo, hi) == lo
+        assert splits.midpoint(0.0, 1.0) == 0.5
+        split = best_split(np.array([[lo], [hi]]), np.array([0.0, 10.0]))
+        assert split is not None and split.threshold == lo
 
     def test_constant_target_gives_none(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
@@ -134,11 +143,13 @@ class TestBestSplit:
         cases = [{}, {"min_samples_leaf": 7}, {"row_subset": np.arange(3, 100, 2)},
                  {"feature_subset": np.array([6, 1, 2, 8])}]
         whole = [best_split(X, y, **case) for case in cases]
-        tree = grow_tree(X, y, max_depth=4, min_samples_leaf=2)
+        tree = grow_tree(X, y, max_depth=4, min_samples_leaf=2, presorted=splits.presort(X))
         assert whole[0].feature == 2
         monkeypatch.setattr(splits, "_BLOCK_CELLS", block_cells)
         assert [best_split(X, y, **case) for case in cases] == whole
-        assert_same_nodes(grow_tree(X, y, max_depth=4, min_samples_leaf=2), tree)
+        assert_same_nodes(
+            grow_tree(X, y, max_depth=4, min_samples_leaf=2, presorted=splits.presort(X)), tree
+        )
 
 
 def reference_grow_tree(X, y, *, max_depth, min_samples_leaf, max_features, rng, root_rows):
@@ -202,7 +213,6 @@ def tree_problems(draw):
         "min_samples_leaf": draw(st.integers(1, 5)),
         "max_depth": draw(st.sampled_from([None, 0, 3])),
         "seed": draw(st.integers(0, 2**16)),
-        "presort": draw(st.booleans()),
     }
 
 
@@ -218,7 +228,7 @@ class TestGrowTree:
             X,
             y,
             rng=np.random.default_rng(seed),
-            order=column_order(X) if problem["presort"] else None,
+            presorted=splits.presort(X),
             **kwargs,
         )
         want = reference_grow_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
@@ -232,6 +242,15 @@ class TestGrowTree:
         for rows in ([2, 1], [1, 1, 3]):
             with pytest.raises(ValueError, match="strictly ascending"):
                 grow_tree(X, y, max_depth=2, min_samples_leaf=1, root_rows=np.array(rows))
+
+    def test_exhaustive_search_needs_presorted(self):
+        X = np.arange(8.0).reshape(4, 2)
+        y = np.arange(4.0)
+        with pytest.raises(ValueError, match="presorted"):
+            grow_tree(X, y, max_depth=2, min_samples_leaf=1)
+        tree = grow_tree(X, y, max_depth=2, min_samples_leaf=1, random_thresholds=True,
+                         rng=np.random.default_rng(0))
+        assert tree.n_nodes >= 1
 
 
 def assert_same_nodes(got, want):
@@ -289,6 +308,17 @@ class TestEnsembleRankPath:
             rng = derived_rng(seed, index)
             rows = rng.integers(0, n, size=n)
             want = reference_grow_tree(X[rows], y[rows], rng=rng, root_rows=None, **tree)
+            assert_same_nodes(got, want)
+
+    @given(ensemble_problems())
+    @settings(max_examples=50, deadline=None)
+    def test_random_forest_without_bootstrap_trees_match_reference(self, problem):
+        # every tree reuses the fit's presort of X
+        X, y, seed, tree = problem["X"], problem["y"], problem["seed"], problem["tree"]
+        params = ModelParams(n_estimators=problem["n_estimators"], bootstrap=False, seed=seed, **tree)
+        forest = RandomForest(params).fit(X, y)
+        for index, got in enumerate(forest.trees):
+            want = reference_grow_tree(X, y, rng=derived_rng(seed, index), root_rows=None, **tree)
             assert_same_nodes(got, want)
 
     @given(ensemble_problems())
