@@ -3,7 +3,9 @@
 Daily weather is grouped into 7-day weeks anchored at the sowing date
 (week 1 = sowing week, not calendar weeks), each week of the growth window
 (weeks 17..40 by default) is reduced to six aggregates, and these are
-flattened next to the soil features into one row per zone-year.
+flattened next to the soil features into one row per zone-year. The weeks
+of every zone-year are aggregated in one batched pass, and each weekly sum
+is exactly rounded: it is math.fsum's value.
 
 Feature column order is fixed and documented:
     p, k, mg, ph, soil_type, stone_content, organic_matter, caco3,
@@ -16,7 +18,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,14 @@ MODE_SOIL_WEATHER = "soil_weather"
 SOIL_FEATURES = ("p", "k", "mg", "ph")
 SOIL_ORDINALS = ("soil_type", "stone_content", "organic_matter", "caco3")
 WEEKLY_AGGREGATES = ("t_avg", "dd_sum", "egd_total", "ap_sum", "sr_sum", "h_avg")
-_aggregates = attrgetter(*WEEKLY_AGGREGATES)
 
 EGD_THRESHOLD_C = 5.0
+
+# a cell at least this large sends its row to math.fsum (see fsum_rows)
+_SUM_BOUND = 2.0**1000
+# week cells gathered per pass of aggregate_windows: 7 days each, so one
+# gathered column is ~460 kB however many zone-years there are
+_CELLS_PER_PASS = 8192
 
 
 @dataclass(frozen=True)
@@ -77,51 +83,162 @@ def soil_feature_values(soil: SoilRecord, ordinals: OrdinalSpec | None = None) -
     return out
 
 
-def weekly_aggregate(week: np.ndarray, week_index: int = 0) -> WeeklyWeather:
-    """Reduce one week (1..7 rows of a ``WEATHER_DTYPE`` array) to the six
-    weekly aggregates.
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fl(a + b) and its rounding error, exactly, where nothing overflows."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
-    Daily mean temperature is (t_max + t_min) / 2 throughout. Sums use
-    math.fsum, so the result is exactly permutation-invariant.
+
+def fsum_rows(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """``math.fsum(x[i, :n[i]])`` for every row i of a 2-D float64 array
+    whose cells past ``n[i]`` are zeros, and what fsum raised, by row.
+
+    A TwoSum cascade along each row gives the running sum s and the exact
+    error of every addition; a second cascade sums those errors to E
+    (Ogita, Rump & Oishi, *Accurate Sum and Dot Product*, 2005). Where all
+    errors of the second cascade are 0, s + E is the exact sum, so
+    fl(s + E) is its correctly rounded value, which is fsum's. The other
+    rows go through math.fsum itself: a non-zero second-level error, a zero
+    sum (whose sign fsum decides), or a cell of magnitude 2**1000 or more,
+    inf or NaN (fsum's own partial sums can overflow where the exact sum
+    does not; below that bound no sum of a few cells can).
     """
-    n = len(week)
-    if n == 0:
-        raise ValueError("empty week bucket")
-    if n > 7:
-        raise ValueError(f"week bucket has {n} days, at most 7 allowed")
-    means = [(hi + lo) / 2.0 for hi, lo in zip(week["t_max"].tolist(), week["t_min"].tolist())]
-    return WeeklyWeather(
-        week_index=week_index,
-        t_avg=math.fsum(means) / n,
-        dd_sum=math.fsum(max(0.0, m) for m in means),
-        egd_total=sum(1 for m in means if m > EGD_THRESHOLD_C),
-        ap_sum=math.fsum(week["precip"].tolist()),
-        sr_sum=math.fsum(week["solar"].tolist()),
-        h_avg=math.fsum(week["humidity"].tolist()) / n,
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = x[:, 0].copy()
+        errors = []
+        for j in range(1, x.shape[1]):
+            s, e = _two_sum(s, x[:, j])
+            errors.append(e)
+        proved = np.abs(x).max(axis=1) < _SUM_BOUND  # False for NaN
+        if errors:
+            err = errors[0]
+            for e in errors[1:]:
+                err, residue = _two_sum(err, e)
+                proved &= residue == 0.0
+            s = s + err
+        proved &= s != 0.0
+    raised: dict[int, Exception] = {}
+    for i in np.flatnonzero(~proved).tolist():
+        try:
+            s[i] = math.fsum(x[i, : n[i]].tolist())
+        except (OverflowError, ValueError) as exc:  # inf - inf, or partials past float range
+            raised[i] = exc
+    return s, raised
+
+
+def aggregate_windows(
+    days: np.ndarray, edges: np.ndarray, min_days: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The six weekly aggregates of many zone-years' weeks in one pass.
+
+    ``days`` is a ``WEATHER_DTYPE`` array; week j of zone-year i is
+    ``days[edges[i, j]:edges[i, j + 1]]``. Weeks with at least ``min_days``
+    days are complete; each of them must have 1..7 days. Daily mean
+    temperature is (t_max + t_min) / 2, degree days are max(0, mean), and
+    each sum is exactly rounded (``fsum_rows``), so it is permutation-
+    invariant and equals math.fsum's.
+
+    Returns (values, complete, overflow): ``values[i, j]`` holds week j's
+    aggregates in ``WEEKLY_AGGREGATES`` order where ``complete[i, j]``;
+    ``overflow[i]`` is the first complete week of zone-year i whose sums
+    overflow the float range, else -1. A week with 0 or more than 7 days
+    raises ValueError, as does an inf - inf sum, unless an earlier week of
+    the same zone-year overflows.
+    """
+    n_zy, n_weeks = edges.shape[0], edges.shape[1] - 1
+    counts = np.diff(edges, axis=1).ravel()
+    first = edges[:, :-1].ravel()
+    complete = counts >= min_days
+    values = np.zeros((n_zy * n_weeks, len(WEEKLY_AGGREGATES)))
+    failed: dict[tuple[int, int], Exception] = {}  # (week cell, sum) -> what it raised
+    for cell in np.flatnonzero(complete & ((counts < 1) | (counts > 7))).tolist():
+        n = int(counts[cell])
+        failed[cell, -1] = ValueError(
+            "empty week bucket" if n < 1 else f"week bucket has {n} days, at most 7 allowed"
+        )
+    cells = np.flatnonzero(complete & (counts >= 1) & (counts <= 7))
+    offset = np.arange(7)
+    for lo in range(0, len(cells), _CELLS_PER_PASS):
+        chunk = cells[lo : lo + _CELLS_PER_PASS]
+        n = counts[chunk]
+        real = offset < n[:, None]
+        rows = first[chunk, None] + np.minimum(offset, n[:, None] - 1)
+
+        def column(name: str) -> np.ndarray:  # missing days are -0.0, the additive identity
+            return np.where(real, days[name][rows], -0.0)
+
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, as Python floats give
+            means = (column("t_max") + column("t_min")) / 2.0
+        # max(0, m) pads to +0.0, which can move only a zero sum's sign, and
+        # zero sums are fsum's own
+        terms = (means, np.where(means > 0.0, means, 0.0),
+                 column("precip"), column("solar"), column("humidity"))
+        out = np.empty((len(chunk), len(WEEKLY_AGGREGATES)))
+        out[:, 2] = (means > EGD_THRESHOLD_C).sum(axis=1)
+        for k, term in zip((0, 1, 3, 4, 5), terms):
+            out[:, k], raised = fsum_rows(term, n)
+            for i, exc in raised.items():
+                failed[int(chunk[i]), k] = exc
+        out[:, 0] /= n
+        out[:, 5] /= n
+        values[chunk] = out
+
+    overflow = np.full(n_zy, -1)
+    for (cell, _), exc in sorted(failed.items()):  # week order, then sum order
+        zy, week = divmod(cell, n_weeks)
+        if overflow[zy] >= 0:
+            continue  # nothing after a zone-year's first overflow is computed
+        if not isinstance(exc, OverflowError):
+            raise exc
+        overflow[zy] = week
+    return (
+        values.reshape(n_zy, n_weeks, len(WEEKLY_AGGREGATES)),
+        complete.reshape(n_zy, n_weeks),
+        overflow,
     )
+
+
+def week_edges(day: np.ndarray, sowing: int, params: FeatureParams) -> np.ndarray:
+    """Where each growth-window week starts in the sorted day ordinals
+    ``day``, then where the last one ends.
+
+    ``sowing`` is the sowing date's ordinal; the day at offset delta from
+    it lies in week floor(delta/7) + 1, so days before sowing are in no
+    week.
+    """
+    weeks = params.weeks()
+    return np.searchsorted(day, sowing + 7 * np.arange(weeks.start - 1, weeks.stop))
+
+
+def _weekly(week: int, values: np.ndarray) -> WeeklyWeather:
+    t_avg, dd_sum, egd_total, ap_sum, sr_sum, h_avg = values.tolist()
+    return WeeklyWeather(week, t_avg, dd_sum, int(egd_total), ap_sum, sr_sum, h_avg)
+
+
+def weekly_aggregate(week: np.ndarray, week_index: int = 0) -> WeeklyWeather:
+    """The six aggregates of one week (1..7 rows of a ``WEATHER_DTYPE``
+    array): the one-week case of ``aggregate_windows``."""
+    # min_days 0: an empty week is an error, not a missing week
+    values, _, overflow = aggregate_windows(week, np.array([[0, len(week)]]), 0)
+    if overflow[0] >= 0:
+        raise OverflowError(f"weekly aggregate overflows in week {week_index}")
+    return _weekly(week_index, values[0, 0])
 
 
 def window_weeks(
     days: np.ndarray, sowing: int, params: FeatureParams = DEFAULT_FEATURE_PARAMS
 ) -> dict[int, WeeklyWeather]:
     """Aggregates of the growth-window weeks of one zone's day-sorted
-    weather that have at least ``min_days_per_week`` days.
-
-    ``sowing`` is the sowing date's ordinal; the day at offset delta from
-    it lies in week floor(delta/7) + 1, so days before sowing are in no
-    week. Raises OverflowError naming the first week whose sums overflow.
-    """
+    weather that have at least ``min_days_per_week`` days: the one-zone-year
+    case of ``aggregate_windows``. Raises OverflowError naming the first
+    week whose sums overflow."""
     weeks = params.weeks()
-    starts = sowing + 7 * np.arange(weeks.start - 1, weeks.stop)
-    edges = np.searchsorted(days["day"], starts).tolist()
-    out: dict[int, WeeklyWeather] = {}
-    for week, lo, hi in zip(weeks, edges, edges[1:]):
-        if hi - lo >= params.min_days_per_week:
-            try:
-                out[week] = weekly_aggregate(days[lo:hi], week)
-            except OverflowError:  # finite days whose sum exceeds float range
-                raise OverflowError(f"weekly aggregate overflows in week {week}") from None
-    return out
+    edges = week_edges(days["day"], sowing, params)[None, :]
+    values, complete, overflow = aggregate_windows(days, edges, params.min_days_per_week)
+    if overflow[0] >= 0:
+        raise OverflowError(f"weekly aggregate overflows in week {weeks[overflow[0]]}")
+    return {w: _weekly(w, v) for w, v, ok in zip(weeks, values[0], complete[0]) if ok}
 
 
 @dataclass(frozen=True)
@@ -211,23 +328,34 @@ def build_instances(
     soil_by_zone: dict[str, list[SoilRecord]] = {}
     for rec in soils:
         soil_by_zone.setdefault(rec.zone_id, []).append(rec)
+    soil_of = [
+        carry_forward_soil(soil_by_zone.get(crop.zone_id, []), crop.zone_id, crop.year)
+        for crop in crops
+    ]
 
-    days_by_zone: dict[str, np.ndarray] = {}
-    if window:  # one (zone, day) sort, then a day-sorted slice per zone
+    if window:  # one (zone, day) sort, week edges in each zone's slice, one batch
         codes: dict[str, int] = {}
         zone_code = np.fromiter(
             (codes.setdefault(z, len(codes)) for z in weather["zone_id"]), np.int64, len(weather)
         )
         ordered = weather[np.lexsort((weather["day"], zone_code))]
         bounds = np.cumsum([0, *np.bincount(zone_code)]).tolist()
-        days_by_zone = {zone: ordered[lo:hi] for zone, lo, hi in zip(codes, bounds, bounds[1:])}
+        slices = dict(zip(codes, zip(bounds, bounds[1:])))
+        day = ordered["day"]
+        with_soil = [crop for crop, soil in zip(crops, soil_of) if soil is not None]
+        edges = np.zeros((len(with_soil), len(window) + 1), np.int64)
+        for crop, out in zip(with_soil, edges):
+            if crop.zone_id in slices:
+                lo, hi = slices[crop.zone_id]
+                out[:] = lo + week_edges(day[lo:hi], crop.sowing_date.toordinal(), params)
+        values, complete, overflow = aggregate_windows(ordered, edges, params.min_days_per_week)
+        weekly = iter(zip(values, complete, overflow.tolist()))
 
     rows = np.empty((len(crops), len(names)), dtype=np.float64)
     target = np.empty(len(crops), dtype=np.float64)
     meta: list[tuple[str, int]] = []
     skipped: list[InstanceRejection] = []
-    for crop in crops:
-        soil = carry_forward_soil(soil_by_zone.get(crop.zone_id, []), crop.zone_id, crop.year)
+    for crop, soil in zip(crops, soil_of):
         if soil is None:
             skipped.append(
                 InstanceRejection(
@@ -235,29 +363,26 @@ def build_instances(
                 )
             )
             continue
-
-        weeks: dict[int, WeeklyWeather] = {}
-        if window:
-            days = days_by_zone.get(crop.zone_id, weather[:0])
-            try:
-                weeks = window_weeks(days, crop.sowing_date.toordinal(), params)
-            except OverflowError as exc:
-                skipped.append(InstanceRejection(crop.zone_id, crop.year, str(exc)))
-                continue
         row = rows[len(meta)]
-        row[:n_soil] = list(soil_feature_values(soil, ordinals).values())
-        missing = tuple(w for w in window if w not in weeks)
-        if missing:
-            skipped.append(
-                InstanceRejection(
-                    crop.zone_id,
-                    crop.year,
-                    f"missing weeks {list(missing)} in growth window",
-                    missing_weeks=missing,
+        if window:
+            weeks, present, overflow_at = next(weekly)
+            if overflow_at >= 0:
+                reason = f"weekly aggregate overflows in week {window[overflow_at]}"
+                skipped.append(InstanceRejection(crop.zone_id, crop.year, reason))
+                continue
+            missing = tuple(w for w, ok in zip(window, present.tolist()) if not ok)
+            if missing:
+                skipped.append(
+                    InstanceRejection(
+                        crop.zone_id,
+                        crop.year,
+                        f"missing weeks {list(missing)} in growth window",
+                        missing_weeks=missing,
+                    )
                 )
-            )
-            continue
-        row[n_soil:] = [v for week in window for v in _aggregates(weeks[week])]
+                continue
+            row[n_soil:] = weeks.ravel()
+        row[:n_soil] = list(soil_feature_values(soil, ordinals).values())
         target[len(meta)] = crop.yield_t_ha
         meta.append((crop.zone_id, crop.year))
     n = len(meta)

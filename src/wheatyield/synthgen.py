@@ -27,8 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import WEATHER_DTYPE, CropRecord, OrdinalSpec, SoilRecord, WeeklyWeather
-from .features import DEFAULT_FEATURE_PARAMS, FeatureParams, soil_feature_values, window_weeks
+from .domain import WEATHER_DTYPE, CropRecord, OrdinalSpec, SoilRecord
+from .features import (
+    DEFAULT_FEATURE_PARAMS,
+    WEEKLY_AGGREGATES,
+    FeatureParams,
+    aggregate_windows,
+    soil_feature_values,
+)
 from .ingest import carry_forward_soil, write_crop_csv, write_soil_csv, write_weather_csv
 
 # rng stream tags
@@ -203,7 +209,7 @@ def gen_weather(zone: int, year: int, cfg: GenConfig, seed: int) -> np.ndarray:
     sowing = gen_sowing(zone, year, cfg, seed)
     rng = _rng(seed, _WEATHER, zone, year)
     n = DAYS_PER_SEASON
-    days = np.empty(n, WEATHER_DTYPE)
+    days = np.zeros(n, WEATHER_DTYPE)
     days["zone_id"] = sys.intern(cfg.zone_id(zone))
     days["day"] = ordinals = sowing.toordinal() + np.arange(n)
 
@@ -309,14 +315,15 @@ def weather_response(dd_total: float, ap_total: float, cfg: GenConfig) -> float:
 
 def gen_yield(
     soil_features: dict[str, float],
-    weekly_weather: dict[int, WeeklyWeather],
+    dd_total: float,
+    ap_total: float,
     cfg: GenConfig,
     seed: int,
     zone: int,
     year: int,
-    feature_params: FeatureParams = DEFAULT_FEATURE_PARAMS,
 ) -> float:
-    """Yield in t/ha for one zone-year.
+    """Yield in t/ha for one zone-year, given its growth-window degree-day
+    and precipitation totals.
 
     yield = year_mean + soil_weight * s + weather_weight * w + noise,
     where s and w are the standardized soil term and weather response and
@@ -325,13 +332,6 @@ def gen_yield(
     spec = cfg.years[year]
     s_raw = sum(cfg.soil_coefs[name] * soil_features[name] for name in cfg.soil_coefs)
     s_hat = (s_raw - cfg.soil_term_mean) / cfg.soil_term_std
-
-    dd_total = sum(
-        weekly_weather[w].dd_sum for w in feature_params.weeks() if w in weekly_weather
-    )
-    ap_total = sum(
-        weekly_weather[w].ap_sum for w in feature_params.weeks() if w in weekly_weather
-    )
     w_hat = (weather_response(dd_total, ap_total, cfg) - cfg.score_mean) / cfg.score_std
 
     explained = cfg.soil_weight**2 + cfg.weather_weight**2
@@ -375,29 +375,44 @@ def generate_records(
         tests_by_zone[zone] = tests
         soil.extend(tests)
 
-    weather: list[np.ndarray] = []
+    zone_years = [(zone, year) for year in sorted(cfg.years) for zone in rosters[year]]
+    weather = np.concatenate(
+        [gen_weather(zone, year, cfg, seed) for zone, year in zone_years]
+        or [np.empty(0, WEATHER_DTYPE)]
+    )
+    # each block is DAYS_PER_SEASON consecutive days from sowing, so week w
+    # starts 7 * (w - 1) days into its block
+    weeks = feature_params.weeks()
+    starts = np.clip(7 * np.arange(weeks.start - 1, weeks.stop), 0, DAYS_PER_SEASON)
+    edges = DAYS_PER_SEASON * np.arange(len(zone_years))[:, None] + starts
+    values, complete, overflow = aggregate_windows(
+        weather, edges, feature_params.min_days_per_week
+    )
+    dd = values[:, :, WEEKLY_AGGREGATES.index("dd_sum")]
+    ap = values[:, :, WEEKLY_AGGREGATES.index("ap_sum")]
+
     crops: list[CropRecord] = []
-    for year in sorted(cfg.years):
-        for zone in rosters[year]:
-            days = gen_weather(zone, year, cfg, seed)
-            weather.append(days)
-            sowing = int(days["day"][0])
-            weekly = window_weeks(days, sowing, feature_params)
-            soil_rec = carry_forward_soil(tests_by_zone[zone], cfg.zone_id(zone), year)
-            assert soil_rec is not None  # first test precedes every crop year
-            features = soil_feature_values(soil_rec)
-            y = gen_yield(features, weekly, cfg, seed, zone, year, feature_params)
-            jitter = int(_rng(seed, _CROP, zone, year).integers(0, cfg.harvest_jitter_days + 1))
-            crops.append(
-                CropRecord(
-                    zone_id=cfg.zone_id(zone),
-                    year=year,
-                    sowing_date=date.fromordinal(sowing),
-                    harvest_date=date.fromordinal(sowing + DAYS_PER_SEASON + jitter),
-                    yield_t_ha=y,
-                )
+    for i, (zone, year) in enumerate(zone_years):
+        if overflow[i] >= 0:
+            raise OverflowError(f"weekly aggregate overflows in week {weeks[overflow[i]]}")
+        sowing = int(weather["day"][DAYS_PER_SEASON * i])
+        soil_rec = carry_forward_soil(tests_by_zone[zone], cfg.zone_id(zone), year)
+        assert soil_rec is not None  # first test precedes every crop year
+        # builtin sum: the window totals add up left to right in week order
+        dd_total = sum(dd[i, complete[i]].tolist())
+        ap_total = sum(ap[i, complete[i]].tolist())
+        y = gen_yield(soil_feature_values(soil_rec), dd_total, ap_total, cfg, seed, zone, year)
+        jitter = int(_rng(seed, _CROP, zone, year).integers(0, cfg.harvest_jitter_days + 1))
+        crops.append(
+            CropRecord(
+                zone_id=cfg.zone_id(zone),
+                year=year,
+                sowing_date=date.fromordinal(sowing),
+                harvest_date=date.fromordinal(sowing + DAYS_PER_SEASON + jitter),
+                yield_t_ha=y,
             )
-    return soil, np.concatenate(weather) if weather else np.empty(0, WEATHER_DTYPE), crops
+        )
+    return soil, weather, crops
 
 
 def gen_dataset(

@@ -1,12 +1,17 @@
+import math
 import random
+import sys
+import warnings
 from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from wheatyield.domain import WEATHER_DTYPE, CropRecord, SoilRecord
+from wheatyield.domain import WEATHER_DTYPE, CropRecord, SoilRecord, WeeklyWeather
 from wheatyield.features import (
+    EGD_THRESHOLD_C,
     FeatureParams,
     InstanceRejection,
     MODE_SOIL,
@@ -14,9 +19,12 @@ from wheatyield.features import (
     build_instances,
     build_matrix,
     feature_names,
+    fsum_rows,
+    soil_feature_values,
     weekly_aggregate,
     window_weeks,
 )
+from wheatyield.ingest import carry_forward_soil
 
 
 def day(d: date, t_max=10.0, t_min=2.0, precip=1.0, solar=5.0, humidity=80.0, zone="Z1"):
@@ -305,3 +313,234 @@ class TestBuildInstancesPipeline:
         assert np.array_equal(mixed.rows, alone.rows)
         assert np.array_equal(mixed.target, alone.target)
         assert mixed.meta == alone.meta
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def fsum_row(draw):
+    """1..7 doubles of exponents -1074..1023 (subnormals and +-0.0 too),
+    often close in magnitude or cancelling, so additions round."""
+    n = draw(st.integers(1, 7))
+    top = draw(st.integers(-1074, 971))
+    spread = draw(st.sampled_from([0, 1, 53, 110, 2045]))
+    row: list[float] = []
+    for _ in range(n):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            row.append(draw(st.sampled_from([0.0, -0.0])))
+        elif kind == 1 and row:
+            row.append(-draw(st.sampled_from(row)))
+        else:
+            exponent = max(top - draw(st.integers(0, spread)), -1074)
+            row.append(math.ldexp(draw(st.integers(-(2**53) + 1, 2**53 - 1)), exponent))
+    return row
+
+
+class TestFsumRows:
+    """``fsum_rows`` against math.fsum, row by row and bit for bit."""
+
+    @staticmethod
+    def check(batch):
+        width = max(len(row) for row in batch)
+        x = np.full((len(batch), width), -0.0)
+        for i, row in enumerate(batch):
+            x[i, : len(row)] = row
+        sums, raised = fsum_rows(x, np.array([len(row) for row in batch]))
+        for i, row in enumerate(batch):
+            try:
+                want = math.fsum(row)
+            except (OverflowError, ValueError) as exc:
+                assert type(raised[i]) is type(exc) and str(raised[i]) == str(exc)
+                continue
+            assert i not in raised
+            assert bits(sums[i]) == bits(want), row
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(fsum_row(), min_size=1, max_size=12))
+    @example([[1.0, 2.0**-53, 2.0**-106]])  # a half-even tie broken by the third term
+    @example([[1.0, 2.0**-53, -(2.0**-106)], [2.0**-53, 1.0, 2.0**-106, 2.0**-160]])
+    @example([[1.0, -1.0], [-0.0], [0.0, -0.0], [5e-324, -5e-324]])  # zero sums
+    @example([[-0.0]])  # a one-term batch: no cascade at all
+    @example([[1e308, 1e308], [1e308, 1e308, -1e308]])  # fsum's OverflowError
+    @example([[-1e308, 2.0**970, sys.float_info.max]])  # fsum overflows, the exact sum does not
+    @example([[math.inf, 1.0], [math.inf, -math.inf], [math.nan, 2.0]])
+    def test_equals_fsum_bit_for_bit(self, batch):
+        self.check(batch)
+
+    def test_most_rows_are_proved_by_the_cascade(self, monkeypatch):
+        x = np.round(np.random.default_rng(4).normal(8.0, 6.0, (1000, 7)), 1)
+        want = [math.fsum(row) for row in x.tolist()]
+        calls = []
+        real_fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda values: calls.append(values) or real_fsum(values))
+        sums, raised = fsum_rows(x, np.full(1000, 7))
+        assert raised == {} and len(calls) < 10
+        assert bits(sums) == bits(want)
+
+
+def reference_weekly_aggregate(week, week_index=0):
+    """The per-week aggregation, one Python loop per week."""
+    n = len(week)
+    if n == 0:
+        raise ValueError("empty week bucket")
+    if n > 7:
+        raise ValueError(f"week bucket has {n} days, at most 7 allowed")
+    means = [(hi + lo) / 2.0 for hi, lo in zip(week["t_max"].tolist(), week["t_min"].tolist())]
+    return WeeklyWeather(
+        week_index=week_index,
+        t_avg=math.fsum(means) / n,
+        dd_sum=math.fsum(max(0.0, m) for m in means),
+        egd_total=sum(1 for m in means if m > EGD_THRESHOLD_C),
+        ap_sum=math.fsum(week["precip"].tolist()),
+        sr_sum=math.fsum(week["solar"].tolist()),
+        h_avg=math.fsum(week["humidity"].tolist()) / n,
+    )
+
+
+def reference_window_weeks(days, sowing, params):
+    weeks = params.weeks()
+    starts = sowing + 7 * np.arange(weeks.start - 1, weeks.stop)
+    edges = np.searchsorted(days["day"], starts).tolist()
+    out = {}
+    for week, lo, hi in zip(weeks, edges, edges[1:]):
+        if hi - lo >= params.min_days_per_week:
+            try:
+                out[week] = reference_weekly_aggregate(days[lo:hi], week)
+            except OverflowError:
+                raise OverflowError(f"weekly aggregate overflows in week {week}") from None
+    return out
+
+
+def reference_instances(crops, soils, weather, params):
+    """(rows, targets, meta, skipped) of soil_weather instances, one
+    zone-year and one week at a time."""
+    rows, targets, meta, skipped = [], [], [], []
+    for crop in crops:
+        soil = carry_forward_soil(soils, crop.zone_id, crop.year)
+        if soil is None:
+            reason = f"no soil test at or before {crop.year}"
+            skipped.append(InstanceRejection(crop.zone_id, crop.year, reason))
+            continue
+        days = weather[weather["zone_id"] == crop.zone_id]
+        days = days[np.argsort(days["day"], kind="stable")]
+        try:
+            weeks = reference_window_weeks(days, crop.sowing_date.toordinal(), params)
+        except OverflowError as exc:
+            skipped.append(InstanceRejection(crop.zone_id, crop.year, str(exc)))
+            continue
+        missing = tuple(w for w in params.weeks() if w not in weeks)
+        if missing:
+            reason = f"missing weeks {list(missing)} in growth window"
+            skipped.append(InstanceRejection(crop.zone_id, crop.year, reason, missing))
+            continue
+        weekly = [
+            v
+            for w in params.weeks()
+            for v in (weeks[w].t_avg, weeks[w].dd_sum, weeks[w].egd_total,
+                      weeks[w].ap_sum, weeks[w].sr_sum, weeks[w].h_avg)
+        ]
+        rows.append(list(soil_feature_values(soil).values()) + weekly)
+        targets.append(crop.yield_t_ha)
+        meta.append((crop.zone_id, crop.year))
+    return rows, targets, meta, skipped
+
+
+@pytest.mark.parametrize("t_max, t_min", [(1e308, 1e308), (math.inf, -math.inf), (math.nan, 1.0)])
+def test_non_finite_means_as_python_floats_give_them(t_max, t_min):
+    week = table([day(date(2017, 1, 1) + timedelta(days=i), t_max=t_max, t_min=t_min)
+                  for i in range(7)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = weekly_aggregate(week)
+    assert repr(got) == repr(reference_weekly_aggregate(week))
+
+
+class TestBatchedWindows:
+    """``build_instances`` aggregates every zone-year's weeks in one batch;
+    it must give the per-week reference's bits, rows and skip reasons."""
+
+    SOWING = date(2017, 10, 1).toordinal()
+
+    def assert_same(self, crops, soils, weather, params):
+        got, skipped = build_instances(crops, soils, weather, MODE_SOIL_WEATHER, params)
+        rows, targets, meta, want_skipped = reference_instances(crops, soils, weather, params)
+        assert skipped == want_skipped
+        assert got.meta == meta
+        assert bits(got.rows) == bits(np.array(rows).reshape(len(rows), got.n_cols))
+        assert bits(got.target) == bits(targets)
+        return skipped
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        week_start=st.integers(1, 4),
+        n_weeks=st.integers(1, 4),
+        min_days=st.integers(1, 7),
+        keep=st.sampled_from([0.55, 0.85, 1.0]),
+    )
+    def test_matches_per_week_reference(self, seed, week_start, n_weeks, min_days, keep):
+        rng = np.random.default_rng(seed)
+        params = FeatureParams(week_start, week_start + n_weeks - 1, min_days)
+        last = 7 * params.week_end + 8
+        cells = []
+        for zone in ("Z0", "Z1", "Z2"):  # Z3 has crops and no weather
+            for offset in range(-9, last):
+                if rng.random() < keep:
+                    t_min, t_max = np.round(rng.normal(6.0, 8.0, 2), 1).tolist()
+                    if rng.random() < 0.1:
+                        t_min, t_max = -0.0, rng.choice([-0.0, 0.0])
+                    precip = 0.0 if rng.random() < 0.5 else float(rng.exponential(3.0))
+                    if rng.random() < 0.03:
+                        precip = 1e308
+                    cells.append((zone, self.SOWING + offset, t_min, t_max, precip,
+                                  float(rng.uniform(0.0, 25.0)), round(rng.uniform(40, 100), 1)))
+        weather = table(cells)[rng.permutation(len(cells))]
+        crops = [
+            CropRecord(zone, year, date.fromordinal(self.SOWING + int(rng.integers(-4, 5))),
+                       date(year, 8, 1), round(float(rng.uniform(5, 12)), 2))
+            for zone in ("Z0", "Z1", "Z2", "Z3") for year in (2018, 2019)
+        ]
+        soils = [replace(soil_record(), zone_id=zone, test_year=int(rng.choice([2016, 2019])))
+                 for zone in ("Z0", "Z1", "Z2", "Z3")]
+        self.assert_same(crops, soils, weather, params)
+
+    def season_with(self, precip_by_offset, n_days=21, missing=()):
+        sowing = date.fromordinal(self.SOWING)
+        return table([
+            day(sowing + timedelta(days=i), precip=precip_by_offset.get(i, 1.0))
+            for i in range(n_days) if i not in missing
+        ])
+
+    def test_overflow_after_incomplete_week_names_the_later_week(self):
+        weather = self.season_with({8: 1e308, 9: 1e308}, missing=(2,))
+        params = FeatureParams(week_start=1, week_end=3)
+        skipped = self.assert_same([crop_record()], [soil_record()], weather, params)
+        assert [s.reason for s in skipped] == ["weekly aggregate overflows in week 2"]
+
+    def test_first_overflowing_week_is_named_whichever_sum_overflows(self):
+        sowing = date.fromordinal(self.SOWING)
+        weather = table([
+            day(sowing + timedelta(days=i),
+                precip=1e308 if i in (8, 9) else 1.0,  # week 2's precipitation
+                t_max=1e308 if 14 <= i < 18 else 10.0, t_min=0.0)  # week 3's mean temperature
+            for i in range(21)
+        ])
+        params = FeatureParams(week_start=1, week_end=3)
+        skipped = self.assert_same([crop_record()], [soil_record()], weather, params)
+        assert [s.reason for s in skipped] == ["weekly aggregate overflows in week 2"]
+
+    def test_overflow_in_incomplete_week_is_missing_week(self):
+        weather = self.season_with({8: 1e308, 9: 1e308}, missing=(10,))
+        params = FeatureParams(week_start=1, week_end=3)
+        skipped = self.assert_same([crop_record()], [soil_record()], weather, params)
+        assert [s.missing_weeks for s in skipped] == [(2,)]
+
+    def test_eight_rows_in_one_week_is_error(self):
+        weather = self.season_with({})
+        weather = np.concatenate([weather, weather[8:9]])  # a second row for day 8
+        params = FeatureParams(week_start=1, week_end=3)
+        with pytest.raises(ValueError, match=r"^week bucket has 8 days, at most 7 allowed$"):
+            build_instances([crop_record()], [soil_record()], weather, MODE_SOIL_WEATHER, params)

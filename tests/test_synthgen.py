@@ -3,10 +3,13 @@ from datetime import date
 import numpy as np
 import pytest
 
-from wheatyield.domain import WEATHER_DTYPE, validate, weather_rejections
-from wheatyield.features import soil_feature_values, window_weeks
-from wheatyield.ingest import parse_crop, parse_soil, parse_weather
+from wheatyield.domain import WEATHER_DTYPE, CropRecord, validate, weather_rejections
+from wheatyield.features import FeatureParams, soil_feature_values, window_weeks
+from wheatyield.ingest import carry_forward_soil, parse_crop, parse_soil, parse_weather
+from test_features import reference_window_weeks
+from wheatyield import synthgen
 from wheatyield.synthgen import (
+    _CROP,
     DAYS_PER_SEASON,
     GenConfig,
     YearSpec,
@@ -15,6 +18,7 @@ from wheatyield.synthgen import (
     gen_weather,
     gen_yield,
     generate_records,
+    _rng,
     soil_tests_for_zone,
     zone_roster,
 )
@@ -27,8 +31,10 @@ SMALL = GenConfig(
 )
 
 
-def weekly_from_days(days):
-    return window_weeks(days, int(days["day"][0]))
+def window_totals(days):
+    """Degree-day and precipitation totals over one zone-year's window weeks."""
+    weekly = window_weeks(days, int(days["day"][0])).values()
+    return sum(w.dd_sum for w in weekly), sum(w.ap_sum for w in weekly)
 
 
 class TestGenWeather:
@@ -103,26 +109,26 @@ class TestGenSoil:
 
 
 class TestGenYield:
-    def weekly(self, zone=1, year=2017, seed=5, cfg=SMALL):
-        return weekly_from_days(gen_weather(zone, year, cfg, seed))
+    def totals(self, zone=1, year=2017, seed=5, cfg=SMALL):
+        return window_totals(gen_weather(zone, year, cfg, seed))
 
     def test_zero_weather_weight_removes_weather_dependence(self):
         cfg = SMALL.with_(weather_weight=0.0)
         soil = soil_feature_values(soil_tests_for_zone(1, cfg, seed=5)[0])
-        y1 = gen_yield(soil, self.weekly(zone=1, cfg=cfg), cfg, 5, zone=1, year=2017)
-        y2 = gen_yield(soil, self.weekly(zone=2, cfg=cfg), cfg, 5, zone=1, year=2017)
+        y1 = gen_yield(soil, *self.totals(zone=1, cfg=cfg), cfg, 5, zone=1, year=2017)
+        y2 = gen_yield(soil, *self.totals(zone=2, cfg=cfg), cfg, 5, zone=1, year=2017)
         assert y1 == y2
 
     def test_weather_weight_changes_yield(self):
         soil = soil_feature_values(soil_tests_for_zone(1, SMALL, seed=5)[0])
-        y1 = gen_yield(soil, self.weekly(zone=1), SMALL, 5, zone=1, year=2017)
-        y2 = gen_yield(soil, self.weekly(zone=2), SMALL, 5, zone=1, year=2017)
+        y1 = gen_yield(soil, *self.totals(zone=1), SMALL, 5, zone=1, year=2017)
+        y2 = gen_yield(soil, *self.totals(zone=2), SMALL, 5, zone=1, year=2017)
         assert y1 != y2
 
     def test_yields_within_validation_range(self):
         for zone in range(40):
             soil = soil_feature_values(soil_tests_for_zone(zone, SMALL, seed=5)[0])
-            y = gen_yield(soil, self.weekly(zone=zone), SMALL, 5, zone=zone, year=2018)
+            y = gen_yield(soil, *self.totals(zone=zone), SMALL, 5, zone=zone, year=2018)
             assert 1.0 <= y <= 18.0
 
     def test_cohort_moments_near_targets(self):
@@ -133,7 +139,57 @@ class TestGenYield:
         assert values.std(ddof=1) == pytest.approx(1.75, abs=0.35)
 
 
+def reference_records(cfg, params):
+    """``generate_records`` one zone-year at a time, each window aggregated
+    one week at a time; also returns each zone-year's window totals."""
+    seed = cfg.seed
+    rosters = {year: zone_roster(year, cfg, seed) for year in sorted(cfg.years)}
+    used_zones = sorted({z for roster in rosters.values() for z in roster})
+    tests_by_zone = {zone: soil_tests_for_zone(zone, cfg, seed) for zone in used_zones}
+    soil = [rec for zone in used_zones for rec in tests_by_zone[zone]]
+    weather, crops, totals = [], [], []
+    for year in sorted(cfg.years):
+        for zone in rosters[year]:
+            days = gen_weather(zone, year, cfg, seed)
+            weather.append(days)
+            sowing = int(days["day"][0])
+            weekly = reference_window_weeks(days, sowing, params)
+            dd_total = sum(weekly[w].dd_sum for w in params.weeks() if w in weekly)
+            ap_total = sum(weekly[w].ap_sum for w in params.weeks() if w in weekly)
+            totals.append((dd_total, ap_total))
+            soil_rec = carry_forward_soil(tests_by_zone[zone], cfg.zone_id(zone), year)
+            features = soil_feature_values(soil_rec)
+            y = gen_yield(features, dd_total, ap_total, cfg, seed, zone, year)
+            jitter = int(_rng(seed, _CROP, zone, year).integers(0, cfg.harvest_jitter_days + 1))
+            crops.append(CropRecord(cfg.zone_id(zone), year, date.fromordinal(sowing),
+                                    date.fromordinal(sowing + DAYS_PER_SEASON + jitter), y))
+    return soil, np.concatenate(weather), crops, totals
+
+
 class TestGenerateRecords:
+    @pytest.mark.parametrize("cfg, params", [
+        (SMALL, FeatureParams()),
+        (SMALL.with_(weather_weight=0.0), FeatureParams()),
+        (SMALL.with_(seed=8), FeatureParams(week_start=30, week_end=43)),  # past day 280
+        (SMALL.with_(seed=9), FeatureParams(week_start=38, week_end=41, min_days_per_week=1)),
+    ])
+    def test_matches_per_zone_year_reference(self, cfg, params, monkeypatch):
+        totals = []
+
+        def recording_gen_yield(soil, dd_total, ap_total, *rest):
+            totals.append((dd_total, ap_total))
+            return gen_yield(soil, dd_total, ap_total, *rest)
+
+        monkeypatch.setattr(synthgen, "gen_yield", recording_gen_yield)
+        soil, weather, crops = generate_records(cfg, params)
+        want_soil, want_weather, want_crops, want_totals = reference_records(cfg, params)
+        assert soil == want_soil
+        assert weather.tolist() == want_weather.tolist()
+        assert crops == want_crops
+        assert np.array(totals).view(np.int64).tolist() == (
+            np.array(want_totals).view(np.int64).tolist()
+        )
+
     def test_row_counts(self):
         soil, weather, crops = generate_records(SMALL)
         assert len(crops) == 32
