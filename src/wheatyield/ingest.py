@@ -136,6 +136,39 @@ def _open_rows(path: str | Path, expected_header: list[str]):
             yield lineno, row
 
 
+def _parse_records(path, header, make, key, what, ranges, ordinals=None):
+    """The records ``make(row)`` builds from a schema'd CSV, in input order,
+    and the rejection log. A row is rejected for the first of: a wrong
+    field count; a reason ``make`` returns instead of parsing; a value it
+    cannot parse; a failed :func:`validate`; a ``key`` already taken (the
+    first valid row of a key wins), logged as a duplicate ``what``.
+    """
+    source = str(path)
+    log = RejectionLog()
+    records = []
+    seen = set()
+    for lineno, row in _open_rows(path, header):
+        if len(row) != len(header):
+            log.add(source, lineno, f"expected {len(header)} fields, got {len(row)}")
+            continue
+        try:
+            record = make(row)
+        except ValueError as exc:
+            log.add(source, lineno, f"unparseable value: {exc}")
+            continue
+        bad = record if isinstance(record, str) else validate(record, ranges, ordinals)
+        if bad is not None:
+            log.add(source, lineno, str(bad))
+            continue
+        k = key(record)
+        if k in seen:
+            log.add(source, lineno, f"duplicate {what} for zone {k[0]} year {k[1]}")
+            continue
+        seen.add(k)
+        records.append(record)
+    return records, log
+
+
 def parse_soil(
     path: str | Path,
     ranges: ValidationRanges = DEFAULT_RANGES,
@@ -146,41 +179,24 @@ def parse_soil(
     Output order is input order. Duplicate (zone_id, test_year) keeps the
     first occurrence; later ones are rejected.
     """
-    source = str(path)
-    log = RejectionLog()
-    records: list[SoilRecord] = []
-    seen: set[tuple[str, int]] = set()
-    for lineno, row in _open_rows(path, SOIL_HEADER):
-        if len(row) != len(SOIL_HEADER):
-            log.add(source, lineno, f"expected {len(SOIL_HEADER)} fields, got {len(row)}")
-            continue
-        try:
-            record = SoilRecord(
-                zone_id=row[0],
-                test_year=int(row[1]),
-                p=float(row[2]),
-                k=float(row[3]),
-                mg=float(row[4]),
-                ph=float(row[5]),
-                soil_type=row[6],
-                stone_content=row[7],
-                organic_matter=row[8],
-                caco3=row[9],
-            )
-        except ValueError as exc:
-            log.add(source, lineno, f"unparseable value: {exc}")
-            continue
-        bad = validate(record, ranges, ordinals)
-        if bad is not None:
-            log.add(source, lineno, str(bad))
-            continue
-        key = (record.zone_id, record.test_year)
-        if key in seen:
-            log.add(source, lineno, f"duplicate soil test for zone {key[0]} year {key[1]}")
-            continue
-        seen.add(key)
-        records.append(record)
-    return records, log
+
+    def make(row: list[str]) -> SoilRecord:
+        return SoilRecord(
+            zone_id=row[0],
+            test_year=int(row[1]),
+            p=float(row[2]),
+            k=float(row[3]),
+            mg=float(row[4]),
+            ph=float(row[5]),
+            soil_type=row[6],
+            stone_content=row[7],
+            organic_matter=row[8],
+            caco3=row[9],
+        )
+
+    return _parse_records(
+        path, SOIL_HEADER, make, lambda r: (r.zone_id, r.test_year), "soil test", ranges, ordinals
+    )
 
 
 def parse_weather(
@@ -239,40 +255,19 @@ def parse_crop(
     apart from genuinely bad rows. Duplicate (zone_id, year) keeps the
     first occurrence.
     """
-    source = str(path)
-    log = RejectionLog()
-    records: list[CropRecord] = []
-    seen: set[tuple[str, int]] = set()
-    for lineno, row in _open_rows(path, CROP_HEADER):
-        if len(row) != len(CROP_HEADER):
-            log.add(source, lineno, f"expected {len(CROP_HEADER)} fields, got {len(row)}")
-            continue
-        crop = row[2].strip().lower()
-        if crop != WINTER_WHEAT:
-            log.add(source, lineno, f"filtered: crop={row[2]!r}")
-            continue
-        try:
-            record = CropRecord(
-                zone_id=row[0],
-                year=int(row[1]),
-                sowing_date=parse_date(row[3]),
-                harvest_date=parse_date(row[4]),
-                yield_t_ha=float(row[5]),
-            )
-        except ValueError as exc:
-            log.add(source, lineno, f"unparseable value: {exc}")
-            continue
-        bad = validate(record, ranges)
-        if bad is not None:
-            log.add(source, lineno, str(bad))
-            continue
-        key = (record.zone_id, record.year)
-        if key in seen:
-            log.add(source, lineno, f"duplicate yield for zone {key[0]} year {key[1]}")
-            continue
-        seen.add(key)
-        records.append(record)
-    return records, log
+
+    def make(row: list[str]) -> CropRecord | str:
+        if row[2].strip().lower() != WINTER_WHEAT:
+            return f"filtered: crop={row[2]!r}"
+        return CropRecord(
+            zone_id=row[0],
+            year=int(row[1]),
+            sowing_date=parse_date(row[3]),
+            harvest_date=parse_date(row[4]),
+            yield_t_ha=float(row[5]),
+        )
+
+    return _parse_records(path, CROP_HEADER, make, lambda r: (r.zone_id, r.year), "yield", ranges)
 
 
 def write_soil_csv(records: list[SoilRecord], path: str | Path) -> None:

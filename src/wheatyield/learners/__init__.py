@@ -25,7 +25,7 @@ from .svr import LinearSVR
 from .tree import DecisionTree
 
 MODEL_FORMAT = "wheatyield.model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 class ColumnMismatchError(ValueError):
@@ -59,7 +59,7 @@ class ModelParams:
     n_estimators: int = 200
     learning_rate: float = 0.1
     subsample: float = 1.0
-    max_features: int | None = None  # None: ceil(d/3) for forests, all features otherwise
+    max_features: int | None = None  # None: ceil(d/3) for forests, all for gradient boosting
     bootstrap: bool = True
     n_bins: int = 64
     max_leaves: int = 31

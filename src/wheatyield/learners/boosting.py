@@ -5,9 +5,10 @@ m = 1..n_estimators, each tree fit to the current residuals. With
 subsample < 1 the tree sees a per-round row sample drawn without
 replacement (the update still applies to all rows).
 
-:class:`Boosting` owns that loop, prediction and serialization; a subclass
-only says how round m's tree is grown. :class:`GradientBoosting` grows
-exact CART trees; the histogram variant lives in ``histboost``.
+:class:`Boosting` owns that loop; prediction and serialization are those
+of :class:`tree.TreeEnsemble`, with learning_rate as the trees' weight. A
+subclass only says how round m's tree is grown. :class:`GradientBoosting`
+grows exact CART trees; the histogram variant lives in ``histboost``.
 """
 
 from __future__ import annotations
@@ -17,66 +18,38 @@ from typing import Callable
 import numpy as np
 
 from .splits import presort
-from .tree import TreeNodes, derived_rng, grow_tree, subsample_rows
+from .tree import TreeEnsemble, TreeNodes, derived_rng, grow_tree, subsample_rows
 
 RoundGrower = Callable[[np.ndarray, int], TreeNodes]
 
 
-class Boosting:
+class Boosting(TreeEnsemble):
     """Stagewise squared-error boosting over a per-round tree grower."""
 
     def __init__(self, params):
-        self.params = params
-        self.base_value: float | None = None  # set by fit or load_state
-        self.trees: list[TreeNodes] = []
+        super().__init__(params)
         self.train_mse_path_: list[float] = []
+
+    @property
+    def weight(self) -> float:
+        return self.params.learning_rate
 
     def _round_grower(self, X: np.ndarray) -> RoundGrower:
         """Return ``grow(residual, m)``, which fits round m's tree."""
         raise NotImplementedError
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "Boosting":
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.shape[0] == 0:
-            raise ValueError("cannot train on an empty matrix")
-        p = self.params
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> tuple[float, list[TreeNodes]]:
         grow = self._round_grower(X)
-        self.base_value = float(np.mean(y))
-        current = np.full(X.shape[0], self.base_value)
-        self.trees = []
+        base_value = float(np.mean(y))
+        current = np.full(X.shape[0], base_value)
+        trees = []
         self.train_mse_path_ = [float(np.mean((y - current) ** 2))]
-        for m in range(p.n_estimators):
+        for m in range(self.params.n_estimators):
             tree = grow(y - current, m)
-            current = current + p.learning_rate * tree.predict(X)
-            self.trees.append(tree)
+            current = current + self.weight * tree.predict(X)
+            trees.append(tree)
             self.train_mse_path_.append(float(np.mean((y - current) ** 2)))
-        return self
-
-    def _check_fitted(self) -> None:
-        # n_estimators = 0 fits no tree, yet predicts the base value
-        if self.base_value is None:
-            raise RuntimeError("model is not fitted")
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        self._check_fitted()
-        X = np.asarray(X, dtype=np.float64)
-        acc = np.full(X.shape[0], self.base_value)
-        for tree in self.trees:
-            acc += self.params.learning_rate * tree.predict(X)
-        return acc
-
-    def to_state(self) -> dict:
-        self._check_fitted()
-        return {
-            "base_value": self.base_value,
-            "learning_rate": self.params.learning_rate,
-            "trees": [t.to_state() for t in self.trees],
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.base_value = float(state["base_value"])
-        self.trees = [TreeNodes.from_state(s) for s in state["trees"]]
+        return base_value, trees
 
 
 class GradientBoosting(Boosting):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .splits import presort
-from .tree import TreeNodes, derived_rng, grow_tree
+from .tree import TreeEnsemble, TreeNodes, derived_rng, grow_tree
 
 
 def _resolve_max_features(max_features: int | None, d: int) -> int:
@@ -20,14 +20,10 @@ def _resolve_max_features(max_features: int | None, d: int) -> int:
     return min(max_features, d)
 
 
-class _BaseForest:
-    kind = ""
+class _BaseForest(TreeEnsemble):
+    averages = True
     random_thresholds = False
     use_bootstrap = False
-
-    def __init__(self, params):
-        self.params = params
-        self.trees: list[TreeNodes] = []
 
     def _build_one(
         self,
@@ -56,33 +52,11 @@ class _BaseForest:
             presorted=presorted,
         )
 
-    def fit(self, X: np.ndarray, y: np.ndarray):
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.shape[0] == 0:
-            raise ValueError("cannot train on an empty matrix")
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> tuple[float, list[TreeNodes]]:
         if self.params.n_estimators < 1:
             raise ValueError("forests need n_estimators >= 1")
         presorted = None if self.random_thresholds else presort(X)
-        self.trees = [self._build_one(X, y, presorted, i) for i in range(self.params.n_estimators)]
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self.trees:
-            raise RuntimeError("model is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        acc = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            acc += tree.predict(X)
-        return acc / len(self.trees)
-
-    def to_state(self) -> dict:
-        if not self.trees:
-            raise RuntimeError("model is not fitted")
-        return {"trees": [t.to_state() for t in self.trees]}
-
-    def load_state(self, state: dict) -> None:
-        self.trees = [TreeNodes.from_state(s) for s in state["trees"]]
+        return 0.0, [self._build_one(X, y, presorted, i) for i in range(self.params.n_estimators)]
 
 
 class RandomForest(_BaseForest):

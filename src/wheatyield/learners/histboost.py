@@ -12,8 +12,9 @@ costs one pass over the node's rows. Only the smaller child of a split
 bins its counts; the larger child's are the parent's minus those, exact
 for integers.
 
-Fitted trees store real-valued thresholds, so the boosting loop,
-prediction and serialization are those of :class:`boosting.Boosting`.
+Fitted trees store real-valued thresholds, so the boosting loop is that
+of :class:`boosting.Boosting` and prediction and serialization are those
+of :class:`tree.TreeEnsemble`.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Trees are stored as flat parallel arrays (feature, threshold, left, right,
 value) with feature == -1 marking leaves. Routing sends a sample left when
-x[feature] <= threshold. The same storage is reused by the forests and
-boosters, so prediction and serialization live here once.
+x[feature] <= threshold. Every tree model is a :class:`TreeEnsemble` of
+such trees, so fitting, prediction and serialization live here once.
 """
 
 from __future__ import annotations
@@ -219,41 +219,75 @@ def grow_tree(
     return growth.finish()
 
 
-class DecisionTree:
-    """Plain CART regressor with exhaustive midpoint splits."""
+class TreeEnsemble:
+    """A fitted model that predicts ``base_value + weight * sum of its trees``,
+    divided by the number of trees when the ensemble averages.
 
-    kind = "decision_tree"
+    This is the one fit, predict, fitted check and state of every tree
+    model. A kind only says how it grows its trees, in :meth:`_grow`.
+    """
+
+    averages = False  # a forest's prediction is the mean of its trees
 
     def __init__(self, params):
         self.params = params
-        self.nodes: TreeNodes | None = None
+        self.base_value: float | None = None  # set by fit or load_state
+        self.trees: list[TreeNodes] = []
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        X = np.asarray(X, dtype=np.float64)
+    @property
+    def weight(self) -> float:
+        """The factor on every tree's prediction."""
+        return 1.0
+
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> tuple[float, list[TreeNodes]]:
+        """Return the base value and the trees fitted to (X, y)."""
+        raise NotImplementedError
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "TreeEnsemble":
+        X = np.ascontiguousarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.shape[0] == 0:
             raise ValueError("cannot train on an empty matrix")
-        self.nodes = grow_tree(
+        self.base_value, self.trees = self._grow(X, y)
+        return self
+
+    def _check_fitted(self) -> None:
+        # a booster with n_estimators = 0 has no tree, yet predicts its base value
+        if self.base_value is None:
+            raise RuntimeError("model is not fitted")
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        self._check_fitted()
+        X = np.asarray(X, dtype=np.float64)
+        acc = np.full(X.shape[0], self.base_value)
+        for tree in self.trees:
+            acc += self.weight * tree.predict(X)
+        return acc / len(self.trees) if self.averages else acc
+
+    def to_state(self) -> dict:
+        self._check_fitted()
+        return {"base_value": self.base_value, "trees": [t.to_state() for t in self.trees]}
+
+    def load_state(self, state: dict) -> None:
+        self.base_value = float(state["base_value"])
+        self.trees = [TreeNodes.from_state(s) for s in state["trees"]]
+
+
+class DecisionTree(TreeEnsemble):
+    """Plain CART regressor with exhaustive midpoint splits: one tree on a
+    base value of 0."""
+
+    kind = "decision_tree"
+
+    def _grow(self, X: np.ndarray, y: np.ndarray) -> tuple[float, list[TreeNodes]]:
+        tree = grow_tree(
             X,
             y,
             max_depth=self.params.max_depth,
             min_samples_leaf=self.params.min_samples_leaf,
             presorted=presort(X),
         )
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.nodes is None:
-            raise RuntimeError("model is not fitted")
-        return self.nodes.predict(np.asarray(X, dtype=np.float64))
-
-    def to_state(self) -> dict:
-        if self.nodes is None:
-            raise RuntimeError("model is not fitted")
-        return {"tree": self.nodes.to_state()}
-
-    def load_state(self, state: dict) -> None:
-        self.nodes = TreeNodes.from_state(state["tree"])
+        return 0.0, [tree]
 
 
 def derived_rng(seed: int, index: int) -> np.random.Generator:

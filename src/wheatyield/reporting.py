@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .evalstat import Report
+from .evalstat import Report, ReportRow
 
 REPORT_CSV_HEADER = "model,mae_soil,mae_sw,z_soil,p_soil,z_sw,p_sw,t_paired,p_paired"
 
@@ -19,16 +19,14 @@ def _fmt(value: float | None) -> str:
     return f"{value:.6g}"
 
 
+def _cells(r: ReportRow) -> list[str]:
+    """A report row's cells, in ``REPORT_CSV_HEADER`` order."""
+    return [r.model] + [_fmt(v) for v in (r.mae_soil, r.mae_sw, r.z_soil, r.p_soil,
+                                          r.z_sw, r.p_sw, r.t_paired, r.p_paired)]
+
+
 def report_csv(report: Report) -> str:
-    lines = [REPORT_CSV_HEADER]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                [r.model]
-                + [_fmt(v) for v in (r.mae_soil, r.mae_sw, r.z_soil, r.p_soil,
-                                     r.z_sw, r.p_sw, r.t_paired, r.p_paired)]
-            )
-        )
+    lines = [REPORT_CSV_HEADER] + [",".join(_cells(r)) for r in report.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -54,14 +52,8 @@ def report_text(report: Report) -> str:
         f"# seed:        {report.seed}",
         f"# config:      {report.config_digest}",
     ]
-    header = ["model", "mae_soil", "mae_sw", "z_soil", "p_soil", "z_sw", "p_sw",
-              "t_paired", "p_paired"]
-    rows = [
-        [r.model] + [_fmt(v) for v in (r.mae_soil, r.mae_sw, r.z_soil, r.p_soil,
-                                       r.z_sw, r.p_sw, r.t_paired, r.p_paired)]
-        for r in report.rows
-    ]
-    return "\n".join(meta) + "\n\n" + _table(header, rows) + "\n"
+    rows = [_cells(r) for r in report.rows]
+    return "\n".join(meta) + "\n\n" + _table(REPORT_CSV_HEADER.split(","), rows) + "\n"
 
 
 def write_report_txt(report: Report, path: str | Path) -> None:

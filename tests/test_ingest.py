@@ -256,6 +256,48 @@ class TestParseCrop:
         assert records == [] and len(log) == 1
 
 
+
+@pytest.mark.parametrize("parse, header, rows, want", [
+    (parse_soil, SOIL_HEADER, [
+        "Z1,2015,25.0,180.0,60.0,6.8,medium,low,moderate",
+        "Z1,20x5,abc,180.0,60.0,6.8,medium,low,moderate,calc",
+        "Z1,2015,abc,1e,60.0,6.8,medium,low,moderate,calc",
+        "Z1,2015,25.0,180.0,60.0,6.8,bogus,low,moderate,calc",
+        "Z1,2015,25.0,180.0,60.0,6.8,medium,low,moderate,calc",
+        "Z1,2015,30.0,190.0,70.0,7.0,medium,low,moderate,calc",
+    ], [
+        (2, "expected 10 fields, got 9"),
+        (3, "unparseable value: invalid literal for int() with base 10: '20x5'"),
+        (4, "unparseable value: could not convert string to float: 'abc'"),
+        (5, "soil_type='bogus': unknown category"),
+        (7, "duplicate soil test for zone Z1 year 2015"),
+    ]),
+    (parse_crop, CROP_HEADER, [
+        "Z1,2014,winter_wheat,2013-10-01,2014-08-01",
+        "Z1,20x4,barley,bad,bad,x",
+        "Z1,20x4,winter_wheat,bad,2014-08-01,10.0",
+        "Z1,2014,winter_wheat,2013-10-01,2014-13-01,10.0",
+        "Z1,2014,winter_wheat,2013-10-01,2014-08-01,55.0",
+        "Z1,2014,Winter_Wheat,2013-10-01,2014-08-01,10.78",
+        "Z1,2014,winter_wheat,2013-10-02,2014-08-01,9.0",
+    ], [
+        (2, "expected 6 fields, got 5"),
+        (3, "filtered: crop='barley'"),
+        (4, "unparseable value: invalid literal for int() with base 10: '20x4'"),
+        (5, "unparseable value: month must be in 1..12"),
+        (6, "yield_t_ha=55.0: above upper bound 18.0"),
+        (8, "duplicate yield for zone Z1 year 2014"),
+    ]),
+], ids=["soil", "crop"])
+def test_row_checks_run_in_order_and_first_valid_key_wins(tmp_path, parse, header, rows, want):
+    """Each row names the first check it fails: field count, then (crops) the
+    crop filter, then the first unparseable field, then validation, then a
+    duplicate of an earlier valid row's key. One row per file survives."""
+    path = write(tmp_path, "in.csv", header, rows)
+    records, log = parse(path)
+    assert [(e.line, e.reason) for e in log.entries] == want
+    assert len(records) == 1 and records[0].zone_id == "Z1"
+
 def soil_test(zone, year) -> SoilRecord:
     return SoilRecord(zone, year, 25.0, 180.0, 60.0, 6.8,
                       "medium", "low", "moderate", "calc")

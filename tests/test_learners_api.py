@@ -7,6 +7,7 @@ import pytest
 
 from wheatyield.features import MODE_SOIL_WEATHER, DesignMatrix, build_matrix, feature_names
 from wheatyield.learners import (
+    ESTIMATORS,
     MODEL_KINDS,
     ColumnMismatchError,
     ModelParams,
@@ -161,6 +162,21 @@ class TestSerializationFormat:
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
+    def test_reject_version_1(self, tmp_path):
+        # version 1 stored a booster's learning_rate in its state; there is
+        # no loader for it
+        rng = np.random.default_rng(3)
+        model = train("gradient_boosting", rng.normal(size=(10, 2)), rng.normal(size=10),
+                      ModelParams(n_estimators=2, max_depth=2, min_samples_leaf=1), ["a", "b"])
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        doc["state"]["learning_rate"] = model.params.learning_rate
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unsupported model version 1$"):
+            load_model(path)
+
     @pytest.mark.parametrize("field, value, message", [
         ("kind", "boosted_stumps", "unknown model kind 'boosted_stumps'"),
         ("params", {"max_depth": 2, "shrinkage": 0.1}, r"unknown model parameters \['shrinkage'\]"),
@@ -185,6 +201,29 @@ class TestSerializationFormat:
         save_model(model, path)
         doc = json.loads(path.read_text())
         assert doc["format"] == "wheatyield.model"
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["kind"] == "svr"
         assert doc["column_names"] == ["a", "b"]
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_round_trip_and_unfitted(self, tmp_path, kind):
+        """Every kind: save -> load -> predict gives the same bytes, a tree
+        kind's state is one layout, and an unfitted estimator raises."""
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(40, 3))
+        y = rng.normal(size=40)
+        names = ["a", "b", "c"]
+        params = ModelParams(n_estimators=4, max_depth=3, min_samples_leaf=2,
+                             subsample=0.7, svr_iterations=100, seed=2)
+        model = train(kind, X, y, params, names)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert predict(loaded, X, names).tobytes() == predict(model, X, names).tobytes()
+        if kind in TREE_KINDS:
+            assert sorted(json.loads(path.read_text())["state"]) == ["base_value", "trees"]
+        unfitted = ESTIMATORS[kind](params)
+        with pytest.raises(RuntimeError, match="not fitted"):
+            unfitted.predict(X)
+        with pytest.raises(RuntimeError, match="not fitted"):
+            unfitted.to_state()

@@ -420,7 +420,7 @@ class TestDecisionTree:
         X = rng.normal(size=(40, 2))
         y = rng.normal(size=40)
         model = fit_tree(X, y, max_depth=None, min_samples_leaf=5)
-        nodes = model.estimator.nodes
+        (nodes,) = model.estimator.trees
         counts = np.zeros(nodes.n_nodes, dtype=int)
         assignments = np.zeros(40, dtype=int)
         for i in range(40):
