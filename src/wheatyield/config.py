@@ -183,7 +183,7 @@ def _merged_mapping(path: str | Path | None, overrides: dict[str, str]) -> dict[
             merged[section][key] = value
 
     if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
+        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
         parser.optionxform = str  # keys are case-sensitive
         read = parser.read(str(path))
         if not read:

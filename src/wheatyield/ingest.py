@@ -236,14 +236,20 @@ def parse_weather(
         table[name] = column
     rejected = weather_rejections(table, ranges)
     entries += [(lines[i], str(bad)) for i, bad in rejected.items()]
-    valid = np.setdiff1d(np.arange(len(table)), list(rejected))
-    key = (zone_code[valid] << 32) | table["day"][valid]
-    first = valid[np.unique(key, return_index=True)[1]]
-    for i in np.setdiff1d(valid, first).tolist():
+    valid = np.ones(len(table), bool)
+    valid[list(rejected)] = False
+    rows = np.flatnonzero(valid)
+    key = (zone_code[rows] << 32) | table["day"][rows]
+    first = np.zeros(len(table), bool)
+    # return_index takes numpy's sort path; a plain np.unique (and so
+    # np.setdiff1d) hashes from numpy 2.3 on: 0.45 s against 0.01 s on the
+    # 524k keys of a default-scale file
+    first[rows[np.unique(key, return_index=True)[1]]] = True
+    for i in np.flatnonzero(valid & ~first).tolist():
         zone, day = table[i].item()[:2]
         entries.append((lines[i], f"duplicate weather for zone {zone} on {date.fromordinal(day)}"))
     log = RejectionLog([LogEntry(str(path), line, reason) for line, reason in sorted(entries)])
-    return table[np.sort(first)], log
+    return table[first], log
 
 
 def parse_crop(
@@ -283,18 +289,26 @@ def write_soil_csv(records: list[SoilRecord], path: str | Path) -> None:
             )
 
 
+def _texts(column: np.ndarray, text) -> list[str]:
+    """``text(value)`` for every cell of a 64-bit numeric column, called once
+    per distinct bit pattern, so -0.0 and 0.0 keep their own texts."""
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array([text(v) for v in distinct.view(column.dtype).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def write_weather_csv(table: np.ndarray, path: str | Path) -> None:
-    iso = {day: date.fromordinal(day).isoformat() for day in np.unique(table["day"]).tolist()}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEATHER_HEADER)
-        for start in range(0, len(table), 4096):
-            # chunked tolist(): Python floats (shortest repr), no table copy
-            writer.writerows(
-                (zone_id, iso[day], repr(t_min), repr(t_max), repr(precip), repr(solar), repr(hum))
-                for zone_id, day, t_min, t_max, precip, solar, hum
-                in table[start:start + 4096].tolist()
-            )
+        # a chunk at a time, so that the text columns stay small
+        for start in range(0, len(table), 65536):
+            rows = table[start:start + 65536]
+            writer.writerows(zip(
+                rows["zone_id"].tolist(),
+                _texts(rows["day"], lambda day: date.fromordinal(day).isoformat()),
+                *(_texts(rows[name], repr) for name in WEATHER_FIELDS),
+            ))
 
 
 def write_crop_csv(records: list[CropRecord], path: str | Path) -> None:

@@ -207,7 +207,12 @@ def load_model(path: str | Path) -> TrainedModel:
         raise ValueError(f"unknown model parameters {unknown} in {path}")
     params = ModelParams(**doc["params"])
     estimator = ESTIMATORS[kind](params)
-    estimator.load_state(doc["state"])
+    try:
+        estimator.load_state(doc["state"])
+    except KeyError as exc:
+        raise ValueError(f"{kind} state in {path} has no key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"invalid {kind} state in {path}: {exc}") from None
     return TrainedModel(
         kind=kind,
         column_names=list(doc["column_names"]),

@@ -271,6 +271,8 @@ class TreeEnsemble:
     def load_state(self, state: dict) -> None:
         self.base_value = float(state["base_value"])
         self.trees = [TreeNodes.from_state(s) for s in state["trees"]]
+        if self.averages and not self.trees:
+            raise ValueError("a forest needs at least one tree")
 
 
 class DecisionTree(TreeEnsemble):

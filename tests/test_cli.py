@@ -1,9 +1,8 @@
 import csv
 import math
-import re
 import shutil
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -49,19 +48,22 @@ def run_cli(*args):
     return CliRunner().invoke(main, list(args), catch_exceptions=False)
 
 
+def readme_block() -> str:
+    """The README's Configuration ini block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 def readme_config() -> dict[str, dict[str, str]]:
     """section -> key -> default of the README's Configuration ini block."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
     sections: dict[str, dict[str, str]] = {}
-    for line in block.splitlines():
+    for line in readme_block().splitlines():
         line = line.split(";", 1)[0].strip()
         if line.startswith("["):
             current = sections.setdefault(line.strip("[]"), {})
         elif line:
-            # [validation] puts a min and a max key on one line
-            parts = re.split(r"\s*(\w+) = ", line)[1:]
-            current.update(zip(parts[::2], (value.strip() for value in parts[1::2])))
+            key, _, value = line.partition("=")
+            current[key.strip()] = value.strip()
     return sections
 
 
@@ -175,6 +177,15 @@ class TestConfig:
         assert set(model) == {f.name for f in fields(ModelParams)} - {"seed"}
         overrides = {f"model.svr.{key}": text for key, text in model.items()}
         assert load_config(None, overrides).experiment.model_params["svr"] == ModelParams()
+
+    def test_readme_block_loads_as_written(self, tmp_path):
+        # comments and all, the block is a config file that sets the defaults
+        path = tmp_path / "readme.ini"
+        path.write_text(readme_block().replace("<run seed>", "0").replace("<kind>", "svr"))
+        cfg, base = load_config(path), load_config()
+        # the digest covers the text of every key a file sets, defaults too
+        cfg.experiment = replace(cfg.experiment, config_digest=base.experiment.config_digest)
+        assert cfg == base
 
 
 class TestCliPipeline:

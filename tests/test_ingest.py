@@ -1,8 +1,10 @@
 import csv
+import math
 import tempfile
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from wheatyield.ingest import (
     parse_date,
     parse_soil,
     parse_weather,
+    write_weather_csv,
 )
 
 SOIL_HEADER = "zone_id,test_year,p_mg_l,k_mg_l,mg_mg_l,ph,soil_type,stone_content,organic_matter,caco3"
@@ -331,8 +334,6 @@ class TestCarryForward:
 
 
 def test_cleaned_output_round_trips_losslessly(tmp_path):
-    from wheatyield.ingest import write_weather_csv
-
     path = write(tmp_path, "weather.csv", WEATHER_HEADER,
                  ["Z1,2017-03-02,1.53917,9.00001,4.2,8.1,82.0"])
     records, _ = parse_weather(path)
@@ -341,6 +342,50 @@ def test_cleaned_output_round_trips_losslessly(tmp_path):
     reparsed, log = parse_weather(out)
     assert len(log) == 0
     assert reparsed.tolist() == records.tolist()
+
+
+def reference_write_weather(table, path):
+    """Row-at-a-time writer: csv.writer quoting, ISO dates, repr of each float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(WEATHER_HEADER.split(","))
+        for zone, day, *values in table.tolist():
+            writer.writerow([zone, date.fromordinal(day).isoformat(), *map(repr, values)])
+
+
+# signed zeros, the infinities and NaNs of either sign and another payload
+# (repr prints every NaN as "nan")
+SPECIAL_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan,
+                  np.array([0x7FF8000000000001]).view(np.float64).item(), 1.5, 5e-324]
+WEATHER_VALUE = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+ZONES = ["Z1", 'Z,"2"', "Z 3"]  # the second one needs quoting
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(ZONES), st.integers(1, 800_000),
+                               *[WEATHER_VALUE] * 5), max_size=30))
+def test_write_weather_csv_matches_row_at_a_time_reference(rows):
+    table = np.array(rows, dtype=WEATHER_DTYPE)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_weather_csv(table, got)
+        reference_write_weather(table, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_weather_csv_keeps_signed_zeros_apart(tmp_path):
+    day = date(2017, 3, 2).toordinal()
+    table = np.array([('Z,"1"', day, -0.0, 0.0, math.inf, -math.inf, math.nan),
+                      ("Z1", day, 0.0, -0.0, 0.0, 0.0, -0.0),
+                      ("Z1", day + 1, -0.0, -0.0, 2.5, 2.5, 0.0)], dtype=WEATHER_DTYPE)
+    out = tmp_path / "weather.csv"
+    write_weather_csv(table, out)
+    assert out.read_text().splitlines() == [
+        WEATHER_HEADER,
+        '"Z,""1""",2017-03-02,-0.0,0.0,inf,-inf,nan',
+        "Z1,2017-03-02,0.0,-0.0,0.0,0.0,-0.0",
+        "Z1,2017-03-03,-0.0,-0.0,2.5,2.5,0.0",
+    ]
 
 
 def test_rejection_log_csv_schema(tmp_path):

@@ -193,6 +193,42 @@ class TestSerializationFormat:
         with pytest.raises(ValueError, match=message):
             load_model(path)
 
+    @pytest.mark.parametrize("kind, state, message", [
+        ("svr", {}, "svr state in {path} has no key 'w'"),
+        ("decision_tree", {"trees": []}, "decision_tree state in {path} has no key 'base_value'"),
+        ("gradient_boosting", {"base_value": 0.5, "trees": [{"feature": [-1]}]},
+         "gradient_boosting state in {path} has no key 'threshold'"),
+        ("random_forest", {"base_value": 0.0, "trees": []},
+         "invalid random_forest state in {path}: a forest needs at least one tree"),
+        ("extra_trees", {"base_value": 0.0, "trees": []},
+         "invalid extra_trees state in {path}: a forest needs at least one tree"),
+    ], ids=["missing-svr-key", "missing-base-value", "missing-node-key", "empty-forest",
+            "empty-extra-trees"])
+    def test_reject_bad_state(self, tmp_path, kind, state, message):
+        rng = np.random.default_rng(6)
+        model = train(kind, rng.normal(size=(10, 2)), rng.normal(size=10),
+                      ModelParams(n_estimators=2, max_depth=2, min_samples_leaf=1,
+                                  svr_iterations=50), ["a", "b"])
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["state"] = state
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == message.format(path=path)
+
+    def test_booster_without_trees_loads(self, tmp_path):
+        # n_estimators = 0 is a valid booster that predicts its base value
+        rng = np.random.default_rng(6)
+        model = train("gradient_boosting", rng.normal(size=(10, 2)), rng.normal(size=10),
+                      ModelParams(n_estimators=0), ["a", "b"])
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.estimator.trees == []
+        assert predict(loaded, np.zeros((3, 2)), ["a", "b"]).tolist() == [model.estimator.base_value] * 3
+
     def test_document_shape(self, tmp_path):
         rng = np.random.default_rng(4)
         model = train("svr", rng.normal(size=(10, 2)), rng.normal(size=10),
