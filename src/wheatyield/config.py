@@ -294,8 +294,9 @@ def load_config(
         orders={name: tuple(_parse_list(text)) for name, text in merged["ordinals"].items()}
     )
     feature_params = FeatureParams(**_fields_from("features", merged["features"], _FEATURE_TYPES))
-    if feature_params.week_start < 1 or feature_params.week_end < feature_params.week_start:
-        raise ConfigError("[features] week window must satisfy 1 <= week_start <= week_end")
+    # week 54 starts a year after sowing, in the next season
+    if not 1 <= feature_params.week_start <= feature_params.week_end <= 53:
+        raise ConfigError("[features] week window must satisfy 1 <= week_start <= week_end <= 53")
     if not 1 <= feature_params.min_days_per_week <= 7:
         raise ConfigError("[features] min_days_per_week must be in 1..7")
 

@@ -128,13 +128,13 @@ def fsum_rows(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, dict[int, Excep
 
 
 def aggregate_windows(
-    days: np.ndarray, edges: np.ndarray, min_days: int
+    days: np.ndarray, order: np.ndarray, edges: np.ndarray, min_days: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The six weekly aggregates of many zone-years' weeks in one pass.
 
     ``days`` is a ``WEATHER_DTYPE`` array; week j of zone-year i is
-    ``days[edges[i, j]:edges[i, j + 1]]``. Weeks with at least ``min_days``
-    days are complete; each of them must have 1..7 days. Daily mean
+    ``days[order[edges[i, j]:edges[i, j + 1]]]``. Weeks with at least
+    ``min_days`` days are complete; each of them must have 1..7 days. Daily mean
     temperature is (t_max + t_min) / 2, degree days are max(0, mean), and
     each sum is exactly rounded (``fsum_rows``), so it is permutation-
     invariant and equals math.fsum's.
@@ -163,7 +163,7 @@ def aggregate_windows(
         chunk = cells[lo : lo + _CELLS_PER_PASS]
         n = counts[chunk]
         real = offset < n[:, None]
-        rows = first[chunk, None] + np.minimum(offset, n[:, None] - 1)
+        rows = order[first[chunk, None] + np.minimum(offset, n[:, None] - 1)]
 
         def column(name: str) -> np.ndarray:  # missing days are -0.0, the additive identity
             return np.where(real, days[name][rows], -0.0)
@@ -199,46 +199,36 @@ def aggregate_windows(
     )
 
 
-def week_edges(day: np.ndarray, sowing: int, params: FeatureParams) -> np.ndarray:
-    """Where each growth-window week starts in the sorted day ordinals
-    ``day``, then where the last one ends.
+def zone_day_key(zone: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """The (zone code, day ordinal in [0, 2**32)) sort key of ``window_edges``."""
+    return zone * 2**32 + day
 
-    ``sowing`` is the sowing date's ordinal; the day at offset delta from
-    it lies in week floor(delta/7) + 1, so days before sowing are in no
-    week.
+
+def window_edges(
+    key: np.ndarray, zone: np.ndarray, sowing: np.ndarray, params: FeatureParams
+) -> np.ndarray:
+    """Where each growth-window week of zone-year i (zone code ``zone[i]``,
+    sowing ordinal ``sowing[i]``) starts in the ascending ``zone_day_key``
+    keys ``key``, then where its last week ends: a (zone-years, weeks + 1)
+    array. The day at offset delta from sowing lies in week floor(delta/7)
+    + 1, so days before sowing are in no week. Week starts are clipped to
+    [0, 2**32], so no week reaches another zone's rows.
     """
     weeks = params.weeks()
-    return np.searchsorted(day, sowing + 7 * np.arange(weeks.start - 1, weeks.stop))
-
-
-def _weekly(week: int, values: np.ndarray) -> WeeklyWeather:
-    t_avg, dd_sum, egd_total, ap_sum, sr_sum, h_avg = values.tolist()
-    return WeeklyWeather(week, t_avg, dd_sum, int(egd_total), ap_sum, sr_sum, h_avg)
+    starts = sowing[:, None] + 7 * np.arange(weeks.start - 1, weeks.stop)
+    return np.searchsorted(key, zone_day_key(zone[:, None], np.clip(starts, 0, 2**32)))
 
 
 def weekly_aggregate(week: np.ndarray, week_index: int = 0) -> WeeklyWeather:
     """The six aggregates of one week (1..7 rows of a ``WEATHER_DTYPE``
     array): the one-week case of ``aggregate_windows``."""
     # min_days 0: an empty week is an error, not a missing week
-    values, _, overflow = aggregate_windows(week, np.array([[0, len(week)]]), 0)
+    order = np.arange(len(week))
+    values, _, overflow = aggregate_windows(week, order, np.array([[0, len(week)]]), 0)
     if overflow[0] >= 0:
         raise OverflowError(f"weekly aggregate overflows in week {week_index}")
-    return _weekly(week_index, values[0, 0])
-
-
-def window_weeks(
-    days: np.ndarray, sowing: int, params: FeatureParams = DEFAULT_FEATURE_PARAMS
-) -> dict[int, WeeklyWeather]:
-    """Aggregates of the growth-window weeks of one zone's day-sorted
-    weather that have at least ``min_days_per_week`` days: the one-zone-year
-    case of ``aggregate_windows``. Raises OverflowError naming the first
-    week whose sums overflow."""
-    weeks = params.weeks()
-    edges = week_edges(days["day"], sowing, params)[None, :]
-    values, complete, overflow = aggregate_windows(days, edges, params.min_days_per_week)
-    if overflow[0] >= 0:
-        raise OverflowError(f"weekly aggregate overflows in week {weeks[overflow[0]]}")
-    return {w: _weekly(w, v) for w, v, ok in zip(weeks, values[0], complete[0]) if ok}
+    t_avg, dd_sum, egd_total, ap_sum, sr_sum, h_avg = values[0, 0].tolist()
+    return WeeklyWeather(week_index, t_avg, dd_sum, int(egd_total), ap_sum, sr_sum, h_avg)
 
 
 @dataclass(frozen=True)
@@ -333,22 +323,21 @@ def build_instances(
         for crop in crops
     ]
 
-    if window:  # one (zone, day) sort, week edges in each zone's slice, one batch
-        codes: dict[str, int] = {}
-        zone_code = np.fromiter(
-            (codes.setdefault(z, len(codes)) for z in weather["zone_id"]), np.int64, len(weather)
-        )
-        ordered = weather[np.lexsort((weather["day"], zone_code))]
-        bounds = np.cumsum([0, *np.bincount(zone_code)]).tolist()
-        slices = dict(zip(codes, zip(bounds, bounds[1:])))
-        day = ordered["day"]
+    if window:  # one (zone, day) sort and one search place every zone-year's weeks
+        zone_ids = weather["zone_id"]
+        runs = np.flatnonzero(np.r_[True, zone_ids[1:] != zone_ids[:-1]][: len(weather)])
+        codes: dict[str, int] = {}  # by first appearance; read once per run of one zone
+        run_code = [codes.setdefault(z, len(codes)) for z in zone_ids[runs].tolist()]
+        zone_code = np.repeat(np.array(run_code, np.int64), np.diff(runs, append=len(weather)))
+        key = zone_day_key(zone_code, weather["day"])
+        order = np.argsort(key, kind="stable")
         with_soil = [crop for crop, soil in zip(crops, soil_of) if soil is not None]
-        edges = np.zeros((len(with_soil), len(window) + 1), np.int64)
-        for crop, out in zip(with_soil, edges):
-            if crop.zone_id in slices:
-                lo, hi = slices[crop.zone_id]
-                out[:] = lo + week_edges(day[lo:hi], crop.sowing_date.toordinal(), params)
-        values, complete, overflow = aggregate_windows(ordered, edges, params.min_days_per_week)
+        zone = np.array([codes.get(crop.zone_id, len(codes)) for crop in with_soil], np.int64)
+        sowing = np.array([crop.sowing_date.toordinal() for crop in with_soil], np.int64)
+        edges = window_edges(key[order], zone, sowing, params)
+        values, complete, overflow = aggregate_windows(
+            weather, order, edges, params.min_days_per_week
+        )
         weekly = iter(zip(values, complete, overflow.tolist()))
 
     rows = np.empty((len(crops), len(names)), dtype=np.float64)

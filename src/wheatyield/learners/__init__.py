@@ -195,10 +195,13 @@ def load_model(path: str | Path) -> TrainedModel:
     """Inverse of :func:`save_model`; the loaded model predicts identically."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
+    for key in ("kind", "params", "column_names", "state"):
+        if key not in doc:
+            raise ValueError(f"model document {path} has no key {key!r}")
     kind = doc["kind"]
     if kind not in ESTIMATORS:
         raise ValueError(f"unknown model kind {kind!r} in {path}")

@@ -34,6 +34,8 @@ from .features import (
     FeatureParams,
     aggregate_windows,
     soil_feature_values,
+    window_edges,
+    zone_day_key,
 )
 from .ingest import carry_forward_soil, write_crop_csv, write_soil_csv, write_weather_csv
 
@@ -380,13 +382,13 @@ def generate_records(
         [gen_weather(zone, year, cfg, seed) for zone, year in zone_years]
         or [np.empty(0, WEATHER_DTYPE)]
     )
-    # each block is DAYS_PER_SEASON consecutive days from sowing, so week w
-    # starts 7 * (w - 1) days into its block
+    # each zone-year is a block of DAYS_PER_SEASON days from sowing, keyed as its own zone
     weeks = feature_params.weeks()
-    starts = np.clip(7 * np.arange(weeks.start - 1, weeks.stop), 0, DAYS_PER_SEASON)
-    edges = DAYS_PER_SEASON * np.arange(len(zone_years))[:, None] + starts
+    block = np.arange(len(zone_years))
+    key = zone_day_key(np.repeat(block, DAYS_PER_SEASON), weather["day"])
+    edges = window_edges(key, block, weather["day"][::DAYS_PER_SEASON], feature_params)
     values, complete, overflow = aggregate_windows(
-        weather, edges, feature_params.min_days_per_week
+        weather, np.arange(len(weather)), edges, feature_params.min_days_per_week
     )
     dd = values[:, :, WEEKLY_AGGREGATES.index("dd_sum")]
     ap = values[:, :, WEEKLY_AGGREGATES.index("ap_sum")]
@@ -397,7 +399,8 @@ def generate_records(
             raise OverflowError(f"weekly aggregate overflows in week {weeks[overflow[i]]}")
         sowing = int(weather["day"][DAYS_PER_SEASON * i])
         soil_rec = carry_forward_soil(tests_by_zone[zone], cfg.zone_id(zone), year)
-        assert soil_rec is not None  # first test precedes every crop year
+        if soil_rec is None:  # [synth] test_first_hi falls after the first crop year
+            raise ValueError(f"zone {cfg.zone_id(zone)} has no soil test at or before {year}")
         # builtin sum: the window totals add up left to right in week order
         dd_total = sum(dd[i, complete[i]].tolist())
         ap_total = sum(ap[i, complete[i]].tolist())

@@ -124,6 +124,11 @@ class TestConfig:
     def test_bad_week_window_rejected(self):
         with pytest.raises(ConfigError, match="week"):
             load_config(None, {"features.week_start": "20", "features.week_end": "10"})
+        # week 54 starts a year after sowing
+        for week_end in ("54", "100000000000"):
+            with pytest.raises(ConfigError, match=r"week_start <= week_end <= 53$"):
+                load_config(None, {"features.week_end": week_end})
+        assert load_config(None, {"features.week_end": "53"}).experiment.feature_params.week_end == 53
 
     @pytest.mark.parametrize("value", ["0", "8"])
     def test_min_days_per_week_outside_one_to_seven_rejected(self, value):
@@ -273,7 +278,11 @@ class TestCliPipeline:
         assert result.exit_code == 1
         assert result.stderr == "Error: [features] min_days_per_week must be in 1..7\n"
 
-    @pytest.mark.parametrize("setting", ["zone_pool = 10", "sow_month = 13", "t_daily_sd = -1"])
+    @pytest.mark.parametrize("setting", [
+        "zone_pool = 10", "sow_month = 13", "t_daily_sd = -1",
+        pytest.param("zone_pool = 24\ntest_first_lo = 2017\ntest_first_hi = 2017",
+                     id="first soil tests after the first crop year"),
+    ])
     def test_bad_synth_value_is_one_line_diagnostic(self, workdir, setting):
         (workdir / "run.ini").write_text(TINY_CONFIG.replace("zone_pool = 24", setting))
         result = run_cli("synth", "--config", "run.ini")

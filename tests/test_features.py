@@ -16,13 +16,15 @@ from wheatyield.features import (
     InstanceRejection,
     MODE_SOIL,
     MODE_SOIL_WEATHER,
+    aggregate_windows,
     build_instances,
     build_matrix,
     feature_names,
     fsum_rows,
     soil_feature_values,
     weekly_aggregate,
-    window_weeks,
+    window_edges,
+    zone_day_key,
 )
 from wheatyield.ingest import carry_forward_soil
 
@@ -45,39 +47,102 @@ def crop_record(year=2018, sowing=date(2017, 10, 1)):
 
 
 class TestAssignWeeks:
-    """Days to sowing-anchored weeks, as ``window_weeks`` assigns them."""
+    """Days to sowing-anchored weeks, as ``window_edges`` places them."""
 
     SOWING = date(2017, 10, 1)
     FIRST_THREE = FeatureParams(week_start=1, week_end=3, min_days_per_week=1)
 
-    def weeks(self, days, params=FIRST_THREE):
-        return window_weeks(table(days), self.SOWING.toordinal(), params)
+    def edges(self, days, params):
+        days = table(days)
+        key = zone_day_key(np.zeros(len(days), np.int64), days["day"])
+        return days, window_edges(key, np.array([0]), np.array([self.SOWING.toordinal()]), params)
+
+    def counts(self, days, params=FIRST_THREE):
+        """Days in each growth-window week."""
+        return np.diff(self.edges(days, params)[1][0]).tolist()
+
+    def aggregate(self, days, params):
+        days, edges = self.edges(days, params)
+        return aggregate_windows(days, np.arange(len(days)), edges, params.min_days_per_week)
 
     def test_sowing_day_is_week_one(self):
-        assert list(self.weeks([day(self.SOWING)])) == [1]
+        assert self.counts([day(self.SOWING)]) == [1, 0, 0]
 
     def test_day_seven_starts_week_two(self):
-        assert list(self.weeks([day(date(2017, 10, 8))])) == [2]
+        assert self.counts([day(date(2017, 10, 8))]) == [0, 1, 0]
 
     def test_pre_sowing_excluded(self):
-        assert self.weeks([day(date(2017, 9, 30))]) == {}
+        assert self.counts([day(date(2017, 9, 30))]) == [0, 0, 0]
 
     def test_week_boundaries(self):
         days = [day(self.SOWING + timedelta(days=i)) for i in range(15)]
-        weeks = self.weeks(days)
-        assert {w: agg.ap_sum for w, agg in weeks.items()} == {1: 7.0, 2: 7.0, 3: 1.0}
-        assert [agg.week_index for agg in weeks.values()] == [1, 2, 3]
+        assert self.counts(days) == [7, 7, 1]
 
     def test_only_window_weeks_with_enough_days(self):
         days = [day(self.SOWING + timedelta(days=i)) for i in range(33)]
         params = FeatureParams(week_start=2, week_end=5, min_days_per_week=6)
-        assert list(self.weeks(days, params)) == [2, 3, 4]
+        assert self.counts(days, params) == [7, 7, 7, 5]
+        _, complete, _ = self.aggregate(days, params)
+        assert complete.tolist() == [[True, True, True, False]]
 
     def test_overflow_names_the_week(self):
         days = [day(self.SOWING + timedelta(days=i), precip=1e308 if i in (8, 9) else 1.0)
                 for i in range(21)]
-        with pytest.raises(OverflowError, match="overflows in week 2"):
-            self.weeks(days)
+        _, _, overflow = self.aggregate(days, self.FIRST_THREE)
+        assert self.FIRST_THREE.weeks()[overflow[0]] == 2
+
+
+# day ordinals where a zone's rows and its windows start: the first
+# ordinal, an ordinary date, and near the top of a zone's key range
+BASES = (1, date(2017, 10, 1).toordinal(), 2**32 - 60)
+
+
+def reference_window_edges(zone_days, zone, sowing, params):
+    """``window_edges`` by one search in each zone's own sorted days;
+    ``zone_days[z]`` are the days of zone code z, codes past the list
+    have none."""
+    weeks = params.weeks()
+    lo = np.cumsum([0] + [len(days) for days in zone_days])
+    out = []
+    for z, sown in zip(zone, sowing):
+        days = sorted(zone_days[z]) if z < len(zone_days) else []
+        starts = sown + 7 * np.arange(weeks.start - 1, weeks.stop)
+        out.append(lo[min(z, len(zone_days))] + np.searchsorted(days, starts))
+    return np.array(out).reshape(len(zone), len(weeks) + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    zones=st.lists(st.tuples(st.sampled_from(BASES), st.lists(st.integers(0, 59), max_size=30)),
+                   min_size=1, max_size=4),
+    zone_years=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(BASES),
+                                  st.integers(-30, 60)), max_size=8),
+    week_start=st.integers(1, 4),
+    n_weeks=st.integers(1, 6),
+)
+# windows past the top of zone 0's days, and before the start of zone 1's,
+# while the adjacent zone has rows there
+@example(zones=[(2**32 - 60, list(range(60))), (1, list(range(12)))],
+         zone_years=[(0, 2**32 - 60, 55)], week_start=1, n_weeks=2)
+@example(zones=[(2**32 - 60, list(range(50, 60))), (1, list(range(12)))],
+         zone_years=[(1, 1, -25)], week_start=1, n_weeks=2)
+def test_window_edges_match_per_zone_search(zones, zone_years, week_start, n_weeks):
+    params = FeatureParams(week_start, week_start + n_weeks - 1, 1)
+    zone_days = [[base + offset for offset in offsets] for base, offsets in zones]
+    code = np.array([z for z, days in enumerate(zone_days) for _ in days], np.int64)
+    days = np.array([d for days in zone_days for d in days], np.int64)
+    key = np.sort(zone_day_key(code, days))
+    zone = np.array([z for z, _, _ in zone_years], np.int64)
+    sowing = np.array([base + offset for _, base, offset in zone_years], np.int64)
+
+    edges = window_edges(key, zone, sowing, params)
+
+    assert edges.shape == (len(zone_years), n_weeks + 1)
+    assert edges.tolist() == reference_window_edges(zone_days, zone, sowing, params).tolist()
+    for z, row in zip(zone.tolist(), edges):
+        assert (key[row[0]:row[-1]] // 2**32 == z).all()  # no week takes another zone's rows
+        if z >= len(zone_days) or not zone_days[z]:
+            assert (np.diff(row) == 0).all()  # a zone with no weather misses every week
 
 
 class TestWeeklyAggregate:

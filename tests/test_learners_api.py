@@ -218,6 +218,28 @@ class TestSerializationFormat:
             load_model(path)
         assert str(excinfo.value) == message.format(path=path)
 
+    @pytest.mark.parametrize("key", ["kind", "params", "column_names", "state"])
+    def test_reject_document_without_key(self, tmp_path, key):
+        rng = np.random.default_rng(6)
+        model = train("decision_tree", rng.normal(size=(10, 2)), rng.normal(size=10),
+                      ModelParams(max_depth=2, min_samples_leaf=1), ["a", "b"])
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"model document {path} has no key {key!r}"
+
+    @pytest.mark.parametrize("doc", [[], "wheatyield.model", 2, None])
+    def test_reject_json_that_is_not_an_object(self, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"not a wheatyield.model file: {path}"
+
     def test_booster_without_trees_loads(self, tmp_path):
         # n_estimators = 0 is a valid booster that predicts its base value
         rng = np.random.default_rng(6)

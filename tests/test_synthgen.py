@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wheatyield.domain import WEATHER_DTYPE, CropRecord, validate, weather_rejections
-from wheatyield.features import FeatureParams, soil_feature_values, window_weeks
+from wheatyield.features import FeatureParams, soil_feature_values
 from wheatyield.ingest import carry_forward_soil, parse_crop, parse_soil, parse_weather
 from test_features import reference_window_weeks
 from wheatyield import synthgen
@@ -33,7 +33,7 @@ SMALL = GenConfig(
 
 def window_totals(days):
     """Degree-day and precipitation totals over one zone-year's window weeks."""
-    weekly = window_weeks(days, int(days["day"][0])).values()
+    weekly = reference_window_weeks(days, int(days["day"][0]), FeatureParams()).values()
     return sum(w.dd_sum for w in weekly), sum(w.ap_sum for w in weekly)
 
 
