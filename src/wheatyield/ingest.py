@@ -24,6 +24,7 @@ so the generator's output and a cleaned copy of it are byte-identical.
 from __future__ import annotations
 
 import csv
+import locale
 import re
 from array import array
 from dataclasses import dataclass, field
@@ -117,6 +118,18 @@ class RejectionLog:
                 writer.writerow([entry.source, entry.line, entry.reason])
 
 
+def _decode_error(path: Path, exc: UnicodeDecodeError, offset: int = 0) -> SchemaError:
+    return SchemaError(f"{path}: byte 0x{exc.object[exc.start]:02x} at offset "
+                       f"{offset + exc.start} is not {exc.encoding} text")
+
+
+def _check_header(path: Path, header: list[str], expected_header: list[str]) -> None:
+    if [h.strip() for h in header] != expected_header:
+        raise SchemaError(
+            f"{path}: header {header!r} does not match expected {expected_header!r}"
+        )
+
+
 def _open_rows(path: str | Path, expected_header: list[str]):
     """Yield (line_number, row) for the data rows of a schema'd CSV."""
     path = Path(path)
@@ -125,15 +138,19 @@ def _open_rows(path: str | Path, expected_header: list[str]):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected header") from None
-        if [h.strip() for h in header] != expected_header:
-            raise SchemaError(
-                f"{path}: header {header!r} does not match expected {expected_header!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            yield lineno, row
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file, expected header") from None
+            _check_header(path, header, expected_header)
+            yield from enumerate(reader, start=2)
+        except UnicodeDecodeError:
+            # the stream's error offset is within one read, so find the file's
+            try:
+                path.read_bytes().decode(fh.encoding)
+            except UnicodeDecodeError as exc:
+                raise _decode_error(path, exc) from None
+            raise
 
 
 def _parse_records(path, header, make, key, what, ranges, ordinals=None):
@@ -199,15 +216,17 @@ def parse_soil(
     )
 
 
-def parse_weather(
-    path: str | Path, ranges: ValidationRanges = DEFAULT_RANGES
-) -> tuple[np.ndarray, RejectionLog]:
-    """Parse weather.csv into one ``WEATHER_DTYPE`` array of the accepted rows
-    (input order) and a rejection log (line order).
+_BLOCK = 1 << 20  # bytes read at a time from weather.csv
 
-    Rows are parsed one by one into typed columns; the range checks and the
-    first-valid-wins (zone_id, date) duplicate search then run on whole columns.
-    """
+# _MASK[k] keeps the first k bytes of a little-endian 8-byte word
+_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+_SHORT = 15  # longest field text packed into two words beside its length
+
+
+def _weather_rows(path):
+    """The row loop: ``csv.reader`` rows parsed one by one into typed columns.
+    Returns the parsed table, each row's line, its zone code and the
+    (line, reason) of every row rejected on the way."""
     entries: list[tuple[int, str]] = []
     lines, codes, days, values = array("q"), array("q"), array("q"), array("d")
     zones: dict[str, int] = {}
@@ -227,15 +246,204 @@ def parse_weather(
         days.append(day)
         values.extend(parsed)
 
-    table = np.empty(len(lines), WEATHER_DTYPE)
+    # np.zeros, not np.empty, which sets the object field one row at a time (0.3 s)
+    table = np.zeros(len(lines), WEATHER_DTYPE)
     zone_code = np.frombuffer(codes, np.int64)
     table["zone_id"] = np.array(list(zones), dtype=object)[zone_code]
     table["day"] = days
     columns = np.frombuffer(values).reshape(-1, len(WEATHER_FIELDS)).T
     for name, column in zip(WEATHER_FIELDS, columns):
         table[name] = column
+    return table, np.frombuffer(lines, np.int64), zone_code, entries
+
+
+def _scan(path: Path) -> tuple[int, bool]:
+    """An upper bound on the number of records in ``path``, and whether it
+    holds a quote character."""
+    if not path.is_file():
+        raise SchemaError(f"input file not found: {path}")
+    records = 1
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_BLOCK):
+            if b'"' in chunk:
+                return 0, True
+            records += chunk.count(b"\n")
+            if b"\r" in chunk:  # a CRLF split between two chunks counts twice
+                records += chunk.count(b"\r") - chunk.count(b"\r\n")
+    return records, False
+
+
+def _blocks(path: Path):
+    """(offset, bytes) of consecutive blocks of about ``_BLOCK`` bytes, each
+    ending just after a line end, except the last, which ends the file."""
+    offset, tail = 0, b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_BLOCK):
+            buf = tail + chunk
+            # a final CR may be the first half of a CRLF: cut there only once
+            # the next byte is known
+            cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
+            if cut:
+                yield offset, buf[:cut]
+                offset += cut
+            tail = buf[cut:]
+    if tail:
+        yield offset, tail
+
+
+def _records(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the records of a block, line ends excluded.
+    A record ends at LF, CRLF or a lone CR, as for ``csv.reader`` on a file
+    opened with ``newline=""``, and the block's end ends the last one."""
+    lf, cr = a == 10, a == 13
+    stop = lf.copy()
+    stop[:-1] |= cr[:-1] & ~lf[1:]
+    stop[-1] |= cr[-1]
+    stops = np.flatnonzero(stop)
+    crlf = lf[stops] & cr[np.maximum(stops - 1, 0)] & (stops > 0)
+    starts = np.concatenate(([0], stops + 1))
+    ends = np.concatenate((stops - crlf, [len(a)]))
+    if starts[-1] == len(a):
+        starts, ends = starts[:-1], ends[:-1]
+    return starts, ends
+
+
+def _distinct(windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Each field's index among the distinct texts of its column, and a row
+    holding each text. ``windows[i]`` is the 8 bytes at offset i of the
+    block. A text of up to ``_SHORT`` bytes is packed into one or two 64-bit
+    words with its length; a longer one counts as a text of its own."""
+
+    def word(at, size):
+        return windows[at].view("<u8")[:, 0] & _MASK[size]
+
+    if lengths.max(initial=0) < 8:
+        key = word(starts, lengths) | (lengths.astype(np.uint64) << np.uint64(56))
+    else:
+        short = lengths <= _SHORT
+        low = word(starts, np.minimum(lengths, 8))
+        low[~short] = np.flatnonzero(~short)
+        high = word(starts + 8, np.clip(lengths - 8, 0, 7))
+        high |= np.where(short, lengths, 0xFF).astype(np.uint64) << np.uint64(56)
+        key = 0
+        for part in (low, high):
+            _, inverse = np.unique(part, return_inverse=True)
+            key = key * (inverse.max() + 1) + inverse
+    # return_inverse alone sorts unstably, which is faster than return_index
+    distinct, inverse = np.unique(key, return_inverse=True)
+    holder = np.empty(len(distinct), np.intp)
+    holder[inverse] = np.arange(len(inverse))
+    return inverse, holder
+
+
+def _column(block: bytes, windows, starts, ends, cache: dict, convert, encoding: str):
+    """The outcome of each distinct text of one column of a block (its value,
+    or the reason it does not parse) and each field's index among them."""
+    inverse, holder = _distinct(windows, starts, ends - starts)
+    outcomes = []
+    for i, j in zip(starts[holder].tolist(), ends[holder].tolist()):
+        text = block[i:j]
+        outcome = cache.get(text)
+        if outcome is None:
+            try:
+                outcome = convert(text.decode(encoding))
+            except ValueError as exc:
+                outcome = f"unparseable value: {exc}"
+            cache[text] = outcome
+        outcomes.append(outcome)
+    return outcomes, inverse
+
+
+def _weather_blocks(path: Path, bound: int):
+    """:func:`_weather_rows`'s result from a byte tokenizer, for a file without
+    quotes, where every comma ends a field. It reads the file a block at a
+    time into a table of ``bound`` rows and converts each distinct field
+    text of a block once."""
+    encoding = locale.getpreferredencoding(False)  # what open() decodes with
+    table = np.zeros(bound, WEATHER_DTYPE)  # np.zeros: see _weather_rows
+    lines = np.empty(bound, np.int64)
+    zone_code = np.empty(bound, np.int64)
+    targets = [zone_code, table["day"], *(table[name] for name in WEATHER_FIELDS)]
+    zones: dict[str, int] = {}
+    # per column kind, field text -> its outcome
+    caches = {"zone": {}, "date": {}, "number": {}}
+    kinds = [("zone", lambda text: zones.setdefault(text, len(zones))),
+             ("date", lambda text: parse_date(text).toordinal())] + [("number", float)] * 5
+    width = len(WEATHER_HEADER)
+    entries: list[tuple[int, str]] = []
+    n, lineno, header = 0, 2, None
+    for offset, block in _blocks(path):
+        if not block.isascii():
+            try:
+                block.decode(encoding)
+            except UnicodeDecodeError as exc:
+                raise _decode_error(path, exc, offset) from None
+        a = np.frombuffer(block, np.uint8)
+        starts, ends = _records(a)
+        if header is None:
+            text = block[starts[0]:ends[0]].decode(encoding)
+            header = text.split(",") if text else []
+            _check_header(path, header, WEATHER_HEADER)
+            starts, ends = starts[1:], ends[1:]
+        line = np.arange(lineno, lineno + len(starts))
+        lineno += len(starts)
+        commas = np.flatnonzero(a == 44)
+        first_comma = np.searchsorted(commas, starts)
+        fields = np.where(ends > starts, np.searchsorted(commas, ends) - first_comma + 1, 0)
+        for i in np.flatnonzero(fields != width).tolist():
+            entries.append((int(line[i]), f"expected {width} fields, got {fields[i]}"))
+        rows = np.flatnonzero(fields == width)
+        cuts = commas[first_comma[rows, None] + np.arange(width - 1)]
+        field_starts = np.column_stack((starts[rows], cuts + 1))
+        field_ends = np.column_stack((cuts, ends[rows]))
+        # the 8 bytes at every offset up to 8 past the end: a field starts
+        # at the end at the latest, and its second word 8 bytes later
+        padded = np.frombuffer(block + bytes(16), np.uint8)
+        windows = np.lib.stride_tricks.as_strided(padded, (len(block) + 9, 8), (1, 1))
+        columns = []
+        failed_at = np.full(len(rows), width)  # each row's first column that does not parse
+        for col, (kind, convert) in enumerate(kinds):
+            outcomes, inverse = _column(block, windows, field_starts[:, col],
+                                        field_ends[:, col], caches[kind], convert, encoding)
+            bad = np.array([type(o) is str for o in outcomes], bool)
+            failed_at = np.minimum(failed_at, np.where(bad[inverse], col, width))
+            columns.append((outcomes, inverse))
+        for i in np.flatnonzero(failed_at < width).tolist():
+            outcomes, inverse = columns[failed_at[i]]
+            entries.append((int(line[rows[i]]), outcomes[inverse[i]]))
+        ok = failed_at == width
+        k = int(ok.sum())
+        lines[n:n + k] = line[rows[ok]]
+        for target, (outcomes, inverse) in zip(targets, columns):
+            values = np.array([0 if type(o) is str else o for o in outcomes])
+            target[n:n + k] = values[inverse[ok]]
+        n += k
+    if header is None:
+        raise SchemaError(f"{path}: empty file, expected header")
+    table, zone_code = table[:n], zone_code[:n]
+    table["zone_id"] = np.array(list(zones), dtype=object)[zone_code]
+    return table, lines[:n], zone_code, entries
+
+
+def parse_weather(
+    path: str | Path, ranges: ValidationRanges = DEFAULT_RANGES
+) -> tuple[np.ndarray, RejectionLog]:
+    """Parse weather.csv into one ``WEATHER_DTYPE`` array of the accepted rows
+    (input order) and a rejection log (line order).
+
+    A file without a ``"`` is tokenized a block of bytes at a time, each
+    distinct field text converted once; a file with one takes the
+    ``csv.reader`` row loop, which reads CSV quoting. The range checks and
+    the first-valid-wins (zone_id, date) duplicate search then run on whole
+    columns.
+    """
+    bound, quoted = _scan(Path(path))
+    if quoted:
+        table, lines, zone_code, entries = _weather_rows(path)
+    else:
+        table, lines, zone_code, entries = _weather_blocks(Path(path), bound)
     rejected = weather_rejections(table, ranges)
-    entries += [(lines[i], str(bad)) for i, bad in rejected.items()]
+    entries += [(int(lines[i]), str(bad)) for i, bad in rejected.items()]
     valid = np.ones(len(table), bool)
     valid[list(rejected)] = False
     rows = np.flatnonzero(valid)
@@ -247,9 +455,15 @@ def parse_weather(
     first[rows[np.unique(key, return_index=True)[1]]] = True
     for i in np.flatnonzero(valid & ~first).tolist():
         zone, day = table[i].item()[:2]
-        entries.append((lines[i], f"duplicate weather for zone {zone} on {date.fromordinal(day)}"))
+        entries.append((int(lines[i]),
+                        f"duplicate weather for zone {zone} on {date.fromordinal(day)}"))
     log = RejectionLog([LogEntry(str(path), line, reason) for line, reason in sorted(entries)])
-    return table[first], log
+    # keep the accepted rows in place, a column at a time: table[first]
+    # would hold a second copy of the table at once
+    keep = np.flatnonzero(first)
+    for name in WEATHER_DTYPE.names:
+        table[name][:len(keep)] = table[name][keep]
+    return table[:len(keep)], log
 
 
 def parse_crop(

@@ -191,6 +191,17 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         json.dump(doc, fh)
 
 
+def _json_fits(value, annotation: str) -> bool:
+    """Whether a JSON value suits a ``ModelParams`` field's annotation (a
+    bool is not an int here, an int is a float)."""
+    if value is None:
+        return annotation.endswith(" | None")
+    kind = annotation.removesuffix(" | None")
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, {"int": int, "float": (int, float)}.get(kind, ()))
+
+
 def load_model(path: str | Path) -> TrainedModel:
     """Inverse of :func:`save_model`; the loaded model predicts identically."""
     with open(path) as fh:
@@ -205,10 +216,22 @@ def load_model(path: str | Path) -> TrainedModel:
     kind = doc["kind"]
     if kind not in ESTIMATORS:
         raise ValueError(f"unknown model kind {kind!r} in {path}")
-    unknown = sorted(set(doc["params"]) - {f.name for f in fields(ModelParams)})
+    if not isinstance(doc["params"], dict):
+        raise ValueError(f"model parameters in {path} are not a JSON object")
+    types = {f.name: f.type for f in fields(ModelParams)}
+    unknown = sorted(set(doc["params"]) - set(types))
     if unknown:
         raise ValueError(f"unknown model parameters {unknown} in {path}")
-    params = ModelParams(**doc["params"])
+    for name, value in doc["params"].items():
+        if not _json_fits(value, types[name]):
+            raise ValueError(f"model parameter {name} = {value!r} in {path} is not {types[name]}")
+    try:
+        params = ModelParams(**doc["params"])
+    except ValueError as exc:
+        raise ValueError(f"invalid model parameters in {path}: {exc}") from None
+    names = doc["column_names"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ValueError(f"column_names in {path} is not a list of strings")
     estimator = ESTIMATORS[kind](params)
     try:
         estimator.load_state(doc["state"])
@@ -218,7 +241,7 @@ def load_model(path: str | Path) -> TrainedModel:
         raise ValueError(f"invalid {kind} state in {path}: {exc}") from None
     return TrainedModel(
         kind=kind,
-        column_names=list(doc["column_names"]),
+        column_names=names,
         params=params,
         estimator=estimator,
     )

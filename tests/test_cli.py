@@ -318,6 +318,27 @@ class TestCliPipeline:
         assert "Error: design matrix contains non-finite values" in result.stderr
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("source, quoted", [
+        ("soil", False), ("crop", False), ("weather", False), ("weather", True),
+    ], ids=["soil", "crop", "weather", "quoted-weather"])
+    def test_undecodable_input_is_one_line_diagnostic(self, workdir, source, quoted):
+        run_cli("synth", "--config", "run.ini")
+        path = workdir / "out" / f"{source}.csv"
+        data = bytearray(path.read_bytes())
+        if quoted:  # a quoted zone id sends weather.csv through the csv.reader row loop
+            start = data.index(b"\n") + 1
+            data[start:data.index(b",", start)] = b'"Z0000"'
+        offset = 0
+        for _ in range(5):
+            offset = data.index(b"\n", offset) + 1
+        data[offset] = 0xE9  # the first byte of line 6: Latin-1 "e acute", not UTF-8
+        path.write_bytes(bytes(data))
+        result = CliRunner().invoke(main, ["features", "--config", "run.ini"])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"Error: out/{source}.csv: byte 0xe9 at offset {offset} is not utf-8 text\n")
+        assert "Traceback" not in result.output
+
     def test_features_writes_matrices(self, workdir):
         run_cli("synth", "--config", "run.ini")
         result = run_cli("features", "--config", "run.ini")

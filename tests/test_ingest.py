@@ -1,13 +1,16 @@
 import csv
 import math
+import sys
 import tempfile
 from datetime import date
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from wheatyield import ingest
 from wheatyield.domain import DEFAULT_RANGES, WEATHER_DTYPE, WEATHER_FIELDS, Rejection, SoilRecord
 from wheatyield.ingest import (
     SchemaError,
@@ -189,38 +192,76 @@ def reference_parse_weather(path):
 
 CELL = st.sampled_from(["-60.5", "-60", "-3.5", "0", "0.0", "2.25", "9.3", "60", "99.9",
                         "100", "100.5"])
+# csv.reader reads NUL as a character from Python 3.11 on; 3.10's raises on it
+NUL = ["60\x00", "Z\x00"] if sys.version_info >= (3, 11) else []
 BAD_TOKENS = ["inf", "-inf", "nan", "1e308", "", "abc", "2012-02-30", "2012-13-01",
-              "2012/10/24", "20121024", "2012-W43-3"]
+              "2012/10/24", "20121024", "2012-W43-3",
+              # -0.0 beside 0.0, what float() takes besides plain decimals,
+              # fields of more than 16 bytes with a common prefix
+              "-0.0", " 1.5", "+2", "1_000", "1.000000000000000000001", "1.0000000000000000e-5",
+              "x" * 17] + NUL[:1]
+# a non-ASCII id, a long one, and a quoted one, which makes the file take the row loop
+ZONE_TOKENS = ["Z\u00e9", "Z\U0001f33e", "Z" * 20, '"Z1"'] + NUL[1:]
 WEATHER_ROW = st.tuples(st.sampled_from(["Z1", "Z2"]), st.integers(1, 6),
                         *[CELL] * 5).map(lambda r: [r[0], f"2012-10-0{r[1]}", *r[2:]])
 EDIT = st.one_of(
     st.tuples(st.just("cell"), st.integers(0, 99), st.integers(1, 6), st.sampled_from(BAD_TOKENS)),
+    st.tuples(st.just("zone"), st.integers(0, 99), st.sampled_from(ZONE_TOKENS)),
     st.tuples(st.just("copy"), st.integers(0, 99)),
     st.tuples(st.just("width"), st.integers(0, 99), st.booleans()),
+    st.tuples(st.just("blank"), st.integers(0, 99)),
 )
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(WEATHER_ROW, min_size=1, max_size=25), edits=st.lists(EDIT, max_size=12))
-def test_parse_weather_matches_row_at_a_time_reference(rows, edits):
+# texts that differ only in a trailing NUL, past their 15th byte, or in a sign
+@example(rows=[["Z1", "2012-10-01", "0.0", "2", "3", "4", "60"],
+               ["Z1", "2012-10-02", "-0.0", "2", "3", "4", (NUL or ["60"])[0]],
+               ["Z1", "2012-10-03", "1", "2", "3", "1.000000000000000000001", "4"],
+               ["Z1", "2012-10-04", "1", "2", "3", "1.0000000000000000e-5", "4"]],
+          edits=[], ends=["\n"] * 27, final_end=True)
+@given(rows=st.lists(WEATHER_ROW, min_size=1, max_size=25), edits=st.lists(EDIT, max_size=12),
+       ends=st.lists(LINE_ENDS, min_size=27, max_size=27), final_end=st.booleans())
+def test_parse_weather_matches_row_at_a_time_reference(rows, edits, ends, final_end):
     for edit in edits:
         row = rows[edit[1] % len(rows)]
+        if edit[0] in ("cell", "zone") and not row:
+            continue  # a blank line has no cell
         if edit[0] == "cell":
             row[edit[2] % len(row)] = edit[3]
+        elif edit[0] == "zone":
+            row[0] = edit[2]
         elif edit[0] == "copy":
             rows.append(list(row))
+        elif edit[0] == "blank":
+            rows.insert(edit[1] % len(rows), [])
         else:
             row[:] = row + ["1.0"] if edit[2] else row[:-1]
+    lines = [WEATHER_HEADER] + [",".join(r) for r in rows]
+    # each line its own line end (LF, CRLF or a lone CR), the last one optional
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    if not final_end:
+        text = text.rstrip("\r\n")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "weather.csv"
-        path.write_text("\n".join([WEATHER_HEADER] + [",".join(r) for r in rows]) + "\n")
-        table, log = parse_weather(path)
+        path.write_bytes(text.encode())
         want_rows, want_log = reference_parse_weather(path)
-    assert table.dtype == WEATHER_DTYPE
-    assert table.tolist() == want_rows
-    assert [(e.source, e.line, e.reason) for e in log.entries] == [
-        (str(path), line, reason) for line, reason in want_log
-    ]
+        want = np.array([r[2:] for r in want_rows], np.float64).reshape(-1, len(WEATHER_FIELDS))
+        # the default block size, and blocks of a few dozen bytes, so that
+        # rows straddle block boundaries
+        for block in (ingest._BLOCK, 29):
+            with patch.object(ingest, "_BLOCK", block), \
+                    patch.object(ingest, "_weather_rows", wraps=ingest._weather_rows) as loop:
+                table, log = parse_weather(path)
+            assert loop.called == ('"' in text)
+            assert table.dtype == WEATHER_DTYPE
+            assert table[["zone_id", "day"]].tolist() == [r[:2] for r in want_rows]
+            for k, name in enumerate(WEATHER_FIELDS):  # bit patterns: -0.0 is not 0.0
+                assert table[name].view(np.int64).tolist() == want[:, k].view(np.int64).tolist()
+            assert [(e.source, e.line, e.reason) for e in log.entries] == [
+                (str(path), line, reason) for line, reason in want_log
+            ]
 
 
 class TestParseCrop:

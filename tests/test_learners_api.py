@@ -180,7 +180,15 @@ class TestSerializationFormat:
     @pytest.mark.parametrize("field, value, message", [
         ("kind", "boosted_stumps", "unknown model kind 'boosted_stumps'"),
         ("params", {"max_depth": 2, "shrinkage": 0.1}, r"unknown model parameters \['shrinkage'\]"),
-    ], ids=["kind", "params"])
+        ("params", [], "model parameters in .* are not a JSON object"),
+        ("params", {"max_depth": "deep"}, r"model parameter max_depth = 'deep' in .* is not int \| None"),
+        ("params", {"bootstrap": 1}, "model parameter bootstrap = 1 in .* is not bool"),
+        ("params", {"n_estimators": True}, "model parameter n_estimators = True in .* is not int"),
+        ("params", {"min_samples_leaf": 0}, "invalid model parameters in .*: min_samples_leaf must be >= 1"),
+        ("column_names", 5, "column_names in .* is not a list of strings"),
+        ("column_names", [1, 2], "column_names in .* is not a list of strings"),
+    ], ids=["kind", "params", "params-not-object", "param-type", "bool-param-type",
+            "int-param-type", "param-value", "column-names-not-list", "column-names-not-strings"])
     def test_reject_unknown_kind_and_params(self, tmp_path, field, value, message):
         rng = np.random.default_rng(5)
         model = train("decision_tree", rng.normal(size=(10, 2)), rng.normal(size=10),
@@ -190,8 +198,9 @@ class TestSerializationFormat:
         doc = json.loads(path.read_text())
         doc[field] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as excinfo:
             load_model(path)
+        assert str(path) in str(excinfo.value)
 
     @pytest.mark.parametrize("kind, state, message", [
         ("svr", {}, "svr state in {path} has no key 'w'"),
