@@ -312,15 +312,19 @@ def _distinct(windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
     """Each field's index among the distinct texts of its column, and a row
     holding each text. ``windows[i]`` is the 8 bytes at offset i of the
     block. A text of up to ``_SHORT`` bytes is packed into one or two 64-bit
-    words with its length; a longer one counts as a text of its own."""
+    words with its length; a longer one counts as a text of its own, and so
+    does every text of a column whose texts are mostly longer."""
 
     def word(at, size):
         return windows[at].view("<u8")[:, 0] & _MASK[size]
 
+    short = lengths <= _SHORT
+    if 2 * np.count_nonzero(short) < len(lengths):
+        each = np.arange(len(lengths))
+        return each, each
     if lengths.max(initial=0) < 8:
         key = word(starts, lengths) | (lengths.astype(np.uint64) << np.uint64(56))
     else:
-        short = lengths <= _SHORT
         low = word(starts, np.minimum(lengths, 8))
         low[~short] = np.flatnonzero(~short)
         high = word(starts + 8, np.clip(lengths - 8, 0, 7))
@@ -336,22 +340,35 @@ def _distinct(windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
     return inverse, holder
 
 
-def _column(block: bytes, windows, starts, ends, cache: dict, convert, encoding: str):
-    """The outcome of each distinct text of one column of a block (its value,
-    or the reason it does not parse) and each field's index among them."""
+def _convert(texts: list[bytes], convert, encoding: str):
+    """``convert`` of each text as ``open()`` decodes it, with 0 for a text it
+    rejects, and the reason for each rejected text by its index."""
+    if convert is float:
+        try:  # float reads ASCII bytes as it reads their text; others fail
+            return list(map(float, texts)), {}
+        except ValueError:
+            pass
+    values, reasons = [], {}
+    for i, text in enumerate(texts):
+        try:
+            values.append(convert(text.decode(encoding)))
+        except ValueError as exc:
+            values.append(0)
+            reasons[i] = f"unparseable value: {exc}"
+    return values, reasons
+
+
+def _column(block: bytes, windows, starts, ends, convert, encoding: str):
+    """The value of each field of one column of a block, converted once per
+    distinct text (0 where it does not parse), and the reason each field
+    that does not parse gives, by field."""
     inverse, holder = _distinct(windows, starts, ends - starts)
-    outcomes = []
-    for i, j in zip(starts[holder].tolist(), ends[holder].tolist()):
-        text = block[i:j]
-        outcome = cache.get(text)
-        if outcome is None:
-            try:
-                outcome = convert(text.decode(encoding))
-            except ValueError as exc:
-                outcome = f"unparseable value: {exc}"
-            cache[text] = outcome
-        outcomes.append(outcome)
-    return outcomes, inverse
+    texts = [block[i:j] for i, j in zip(starts[holder].tolist(), ends[holder].tolist())]
+    values, reasons = _convert(texts, convert, encoding)
+    bad = np.zeros(len(texts), bool)
+    bad[list(reasons)] = True
+    failed = {i: reasons[int(inverse[i])] for i in np.flatnonzero(bad[inverse]).tolist()}
+    return np.array(values)[inverse], failed
 
 
 def _weather_blocks(path: Path, bound: int):
@@ -365,10 +382,8 @@ def _weather_blocks(path: Path, bound: int):
     zone_code = np.empty(bound, np.int64)
     targets = [zone_code, table["day"], *(table[name] for name in WEATHER_FIELDS)]
     zones: dict[str, int] = {}
-    # per column kind, field text -> its outcome
-    caches = {"zone": {}, "date": {}, "number": {}}
-    kinds = [("zone", lambda text: zones.setdefault(text, len(zones))),
-             ("date", lambda text: parse_date(text).toordinal())] + [("number", float)] * 5
+    converters = [lambda text: zones.setdefault(text, len(zones)),
+                  lambda text: parse_date(text).toordinal()] + [float] * 5
     width = len(WEATHER_HEADER)
     entries: list[tuple[int, str]] = []
     n, lineno, header = 0, 2, None
@@ -400,23 +415,20 @@ def _weather_blocks(path: Path, bound: int):
         # at the end at the latest, and its second word 8 bytes later
         padded = np.frombuffer(block + bytes(16), np.uint8)
         windows = np.lib.stride_tricks.as_strided(padded, (len(block) + 9, 8), (1, 1))
-        columns = []
-        failed_at = np.full(len(rows), width)  # each row's first column that does not parse
-        for col, (kind, convert) in enumerate(kinds):
-            outcomes, inverse = _column(block, windows, field_starts[:, col],
-                                        field_ends[:, col], caches[kind], convert, encoding)
-            bad = np.array([type(o) is str for o in outcomes], bool)
-            failed_at = np.minimum(failed_at, np.where(bad[inverse], col, width))
-            columns.append((outcomes, inverse))
-        for i in np.flatnonzero(failed_at < width).tolist():
-            outcomes, inverse = columns[failed_at[i]]
-            entries.append((int(line[rows[i]]), outcomes[inverse[i]]))
-        ok = failed_at == width
+        columns, failed = [], {}
+        for col, convert in enumerate(converters):
+            values, reasons = _column(block, windows, field_starts[:, col],
+                                      field_ends[:, col], convert, encoding)
+            columns.append(values)
+            for i, reason in reasons.items():  # a row's first column that does not parse
+                failed.setdefault(i, reason)
+        entries += [(int(line[rows[i]]), reason) for i, reason in failed.items()]
+        ok = np.ones(len(rows), bool)
+        ok[list(failed)] = False
         k = int(ok.sum())
         lines[n:n + k] = line[rows[ok]]
-        for target, (outcomes, inverse) in zip(targets, columns):
-            values = np.array([0 if type(o) is str else o for o in outcomes])
-            target[n:n + k] = values[inverse[ok]]
+        for target, values in zip(targets, columns):
+            target[n:n + k] = values[ok]
         n += k
     if header is None:
         raise SchemaError(f"{path}: empty file, expected header")

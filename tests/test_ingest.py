@@ -190,16 +190,18 @@ def reference_parse_weather(path):
     return accepted, log
 
 
+# full-precision texts too, so that a column can hold mostly texts of more than 15 bytes
 CELL = st.sampled_from(["-60.5", "-60", "-3.5", "0", "0.0", "2.25", "9.3", "60", "99.9",
-                        "100", "100.5"])
+                        "100", "100.5", "12.345678901234567", "-3.0000000000000004"])
 # csv.reader reads NUL as a character from Python 3.11 on; 3.10's raises on it
 NUL = ["60\x00", "Z\x00"] if sys.version_info >= (3, 11) else []
 BAD_TOKENS = ["inf", "-inf", "nan", "1e308", "", "abc", "2012-02-30", "2012-13-01",
               "2012/10/24", "20121024", "2012-W43-3",
-              # -0.0 beside 0.0, what float() takes besides plain decimals,
-              # fields of more than 16 bytes with a common prefix
-              "-0.0", " 1.5", "+2", "1_000", "1.000000000000000000001", "1.0000000000000000e-5",
-              "x" * 17] + NUL[:1]
+              # -0.0 beside 0.0, what float() takes besides plain decimals (a
+              # non-ASCII digit and space too), fields of more than 16 bytes
+              # with a common prefix
+              "-0.0", " 1.5", "+2", "1_000", "\u0661", "1\u00a0", "1.000000000000000000001",
+              "1.0000000000000000e-5", "x" * 17] + NUL[:1]
 # a non-ASCII id, a long one, and a quoted one, which makes the file take the row loop
 ZONE_TOKENS = ["Z\u00e9", "Z\U0001f33e", "Z" * 20, '"Z1"'] + NUL[1:]
 WEATHER_ROW = st.tuples(st.sampled_from(["Z1", "Z2"]), st.integers(1, 6),
@@ -220,6 +222,12 @@ LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
                ["Z1", "2012-10-02", "-0.0", "2", "3", "4", (NUL or ["60"])[0]],
                ["Z1", "2012-10-03", "1", "2", "3", "1.000000000000000000001", "4"],
                ["Z1", "2012-10-04", "1", "2", "3", "1.0000000000000000e-5", "4"]],
+          edits=[], ends=["\n"] * 27, final_end=True)
+# a column of mostly long texts, and texts float() reads only once decoded
+@example(rows=[["Z1", "2012-10-01", "12.345678901234567", "60", "3", "4", "60"],
+               ["Z1", "2012-10-02", "-3.0000000000000004", "\u0661", "3", "4", "60"],
+               ["Z1", "2012-10-03", "1.000000000000000000001", "1\u00a0", "3", "4", "60"],
+               ["Z1", "2012-10-04", "x" * 17, "1", "3", "4", "60"]],
           edits=[], ends=["\n"] * 27, final_end=True)
 @given(rows=st.lists(WEATHER_ROW, min_size=1, max_size=25), edits=st.lists(EDIT, max_size=12),
        ends=st.lists(LINE_ENDS, min_size=27, max_size=27), final_end=st.booleans())
