@@ -3,7 +3,9 @@
 Commands: synth | ingest | features | evaluate | compare. Every command
 reads the same declarative config (see README for the full key table),
 applies flag overrides, writes its outputs under the configured output
-directory, and is idempotent for a fixed config and seed.
+directory, and is idempotent for a fixed config and seed. A ``ValueError``
+or ``OSError`` from any command, bad input and bad config included, ends the
+run with one ``Error:`` line and exit status 1, not a traceback.
 """
 
 from __future__ import annotations
@@ -15,8 +17,20 @@ from pathlib import Path
 import click
 
 from . import evalstat, features, ingest, reporting, synthgen
-from .config import ConfigError, MODES, RunConfig, load_config
+from .config import MODES, RunConfig, load_config
 from .ingest import RejectionLog
+
+
+class _Cli(click.Group):
+    """The one place a fatal error becomes an ``Error:`` line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click ends a run whose output reader went away quietly
+        except (ValueError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
 def _common_options(fn):
@@ -33,7 +47,9 @@ def _common_options(fn):
     return fn
 
 
-def _load(config_path, seed, out_dir, mode, test_year, jobs) -> RunConfig:
+def _load(config_path, seed, out_dir, mode, test_year, jobs) -> tuple[RunConfig, Path]:
+    """The config with the flag overrides applied, and its output directory,
+    made if missing."""
     overrides: dict[str, str] = {}
     if seed is not None:
         overrides["run.seed"] = str(seed)
@@ -45,40 +61,31 @@ def _load(config_path, seed, out_dir, mode, test_year, jobs) -> RunConfig:
         overrides["run.test_year"] = str(test_year)
     if jobs is not None:
         overrides["run.jobs"] = str(jobs)
-    try:
-        return load_config(config_path, overrides)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
-def _out(cfg: RunConfig) -> Path:
+    cfg = load_config(config_path, overrides)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return cfg, out
 
 
 def _ingest_all(cfg: RunConfig):
     """Soil records, the weather table, crop records and the merged log."""
-    try:
-        soil, log_s = ingest.parse_soil(cfg.soil_path, cfg.ranges, cfg.ordinals)
-        weather, log_w = ingest.parse_weather(cfg.weather_path, cfg.ranges)
-        crops, log_c = ingest.parse_crop(cfg.crop_path, cfg.ranges)
-    except ingest.SchemaError as exc:
-        raise click.ClickException(str(exc)) from exc
-    log = RejectionLog()
-    log.extend(log_s)
-    log.extend(log_w)
-    log.extend(log_c)
-    return soil, weather, crops, log
+    soil, log_s = ingest.parse_soil(cfg.soil_path, cfg.ranges, cfg.ordinals)
+    weather, log_w = ingest.parse_weather(cfg.weather_path, cfg.ranges)
+    crops, log_c = ingest.parse_crop(cfg.crop_path, cfg.ranges)
+    return soil, weather, crops, RejectionLog(log_s.entries + log_w.entries + log_c.entries)
 
 
-def _build_instances(cfg: RunConfig, mode: str):
+def _build_instances(cfg: RunConfig, mode: str, out: Path):
+    """The instances and skipped zone-years of ``mode``; writes
+    ``rejections.csv`` and ``skipped_instances.csv`` under ``out``."""
     soil, weather, crops, log = _ingest_all(cfg)
     internal = "soil_weather" if mode in ("both", "soil_weather") else "soil_only"
     instances, skipped = features.build_instances(
         crops, soil, weather, internal, cfg.experiment.feature_params, cfg.ordinals
     )
-    return instances, skipped, log
+    log.write_csv(out / "rejections.csv")
+    _write_skipped(skipped, out)
+    return instances, skipped
 
 
 def _write_skipped(skipped, out: Path) -> None:
@@ -87,7 +94,7 @@ def _write_skipped(skipped, out: Path) -> None:
     (out / "skipped_instances.csv").write_text("\n".join(lines) + "\n")
 
 
-@click.group()
+@click.group(cls=_Cli)
 def main() -> None:
     """Winter wheat yield prediction pipeline."""
 
@@ -96,12 +103,8 @@ def main() -> None:
 @_common_options
 def synth(**kwargs) -> None:
     """Generate the synthetic soil/weather/crop CSV files."""
-    cfg = _load(**kwargs)
-    out = _out(cfg)
-    try:
-        paths = synthgen.gen_dataset(cfg.gen, out, cfg.experiment.feature_params)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    cfg, out = _load(**kwargs)
+    paths = synthgen.gen_dataset(cfg.gen, out, cfg.experiment.feature_params)
     for name, path in paths.items():
         click.echo(f"wrote {name}: {path}")
 
@@ -111,8 +114,7 @@ def synth(**kwargs) -> None:
 def ingest_cmd(**kwargs) -> None:
     """Parse and clean the input CSVs; write cleaned copies and the
     rejection log."""
-    cfg = _load(**kwargs)
-    out = _out(cfg)
+    cfg, out = _load(**kwargs)
     soil, weather, crops, log = _ingest_all(cfg)
     ingest.write_soil_csv(soil, out / "soil_clean.csv")
     ingest.write_weather_csv(weather, out / "weather_clean.csv")
@@ -128,18 +130,12 @@ def ingest_cmd(**kwargs) -> None:
 @_common_options
 def features_cmd(**kwargs) -> None:
     """Build instances and dump feature matrices as CSV."""
-    cfg = _load(**kwargs)
-    out = _out(cfg)
+    cfg, out = _load(**kwargs)
     exp = cfg.experiment
-    instances, skipped, log = _build_instances(cfg, exp.mode)
-    log.write_csv(out / "rejections.csv")
-    _write_skipped(skipped, out)
+    instances, skipped = _build_instances(cfg, exp.mode, out)
     wanted = ("soil_only", "soil_weather") if exp.mode == "both" else (exp.mode,)
     for mode in wanted:
-        try:
-            matrix = features.build_matrix(instances, mode, exp.feature_params)
-        except ValueError as exc:
-            raise click.ClickException(str(exc)) from exc
+        matrix = features.build_matrix(instances, mode, exp.feature_params)
         name = "features_soil.csv" if mode == "soil_only" else "features_soil_weather.csv"
         features.write_features_csv(matrix, out / name)
         click.echo(f"wrote {name}: {matrix.n_rows} rows x {matrix.n_cols} features")
@@ -147,25 +143,14 @@ def features_cmd(**kwargs) -> None:
         click.echo(f"skipped {len(skipped)} zone-years (see skipped_instances.csv)")
 
 
-def _run_experiment(cfg: RunConfig, exp: evalstat.ExperimentConfig) -> evalstat.Report:
-    instances, skipped, log = _build_instances(cfg, exp.mode)
-    out = _out(cfg)
-    log.write_csv(out / "rejections.csv")
-    _write_skipped(skipped, out)
-    try:
-        return evalstat.run_experiment(instances, exp)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
 @main.command()
 @_common_options
 def evaluate(**kwargs) -> None:
     """Train the model suite and write report.csv, report.txt and
     mae_chart.svg."""
-    cfg = _load(**kwargs)
-    out = _out(cfg)
-    report = _run_experiment(cfg, cfg.experiment)
+    cfg, out = _load(**kwargs)
+    instances, _ = _build_instances(cfg, cfg.experiment.mode, out)
+    report = evalstat.run_experiment(instances, cfg.experiment)
     reporting.write_report_csv(report, out / "report.csv")
     reporting.write_report_txt(report, out / "report.txt")
     reporting.write_mae_chart_svg(report, out / "mae_chart.svg")
@@ -176,9 +161,10 @@ def evaluate(**kwargs) -> None:
 @_common_options
 def compare(**kwargs) -> None:
     """Paired soil vs. soil+weather comparison, appended to the report."""
-    cfg = _load(**kwargs)
-    out = _out(cfg)
-    report = _run_experiment(cfg, replace(cfg.experiment, mode="both"))
+    cfg, out = _load(**kwargs)
+    exp = replace(cfg.experiment, mode="both")
+    instances, _ = _build_instances(cfg, exp.mode, out)
+    report = evalstat.run_experiment(instances, exp)
     reporting.append_compare_txt(report, out / "report.txt")
     (out / "compare.csv").write_text(reporting.compare_csv(report))
     click.echo(reporting.compare_text(report).rstrip())

@@ -90,6 +90,12 @@ WEATHER_DTYPE = np.dtype(
 )
 
 
+def zone_day_key(zone: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """The int64 key of (zone code, day ordinal in [0, 2**32)): sorting by it
+    sorts by zone, then day, and equal keys are the same zone-day."""
+    return zone * 2**32 + day
+
+
 @dataclass(frozen=True, slots=True)
 class CropRecord:
     """One winter-wheat zone-year: sowing/harvest dates and observed yield."""

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import CropRecord, OrdinalSpec, SoilRecord, WeeklyWeather
+from .domain import CropRecord, OrdinalSpec, SoilRecord, WeeklyWeather, zone_day_key
 from .ingest import carry_forward_soil
 
 MODE_SOIL = "soil_only"
@@ -197,11 +197,6 @@ def aggregate_windows(
         complete.reshape(n_zy, n_weeks),
         overflow,
     )
-
-
-def zone_day_key(zone: np.ndarray, day: np.ndarray) -> np.ndarray:
-    """The (zone code, day ordinal in [0, 2**32)) sort key of ``window_edges``."""
-    return zone * 2**32 + day
 
 
 def window_edges(

@@ -3,8 +3,8 @@
 Each parser reads one documented schema, validates every row, and splits
 the input into accepted records plus a rejection log. Row-level problems
 (bad numbers, invalid categories, duplicates, range violations) never
-abort a run; only structural problems with the file itself (missing file,
-wrong header) raise.
+abort a run; only structural problems with the file itself (missing or
+undecodable file, wrong header, a field ``csv.reader`` refuses) raise.
 
 Schemas:
     soil.csv    zone_id,test_year,p_mg_l,k_mg_l,mg_mg_l,ph,soil_type,stone_content,organic_matter,caco3
@@ -43,6 +43,7 @@ from .domain import (
     WEATHER_FIELDS,
     validate,
     weather_rejections,
+    zone_day_key,
 )
 
 SOIL_HEADER = [
@@ -74,7 +75,8 @@ WINTER_WHEAT = "winter_wheat"
 
 
 class SchemaError(ValueError):
-    """File-level problem: missing file or header not matching the schema."""
+    """File-level problem: a missing or undecodable file, a header not
+    matching the schema, or text ``csv.reader`` refuses."""
 
 
 _ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
@@ -100,12 +102,6 @@ class RejectionLog:
     """Per-file record of every input line that did not become a record."""
 
     entries: list[LogEntry] = field(default_factory=list)
-
-    def add(self, source: str, line: int, reason: str) -> None:
-        self.entries.append(LogEntry(source, line, reason))
-
-    def extend(self, other: "RejectionLog") -> None:
-        self.entries.extend(other.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -144,6 +140,8 @@ def _open_rows(path: str | Path, expected_header: list[str]):
                 raise SchemaError(f"{path}: empty file, expected header") from None
             _check_header(path, header, expected_header)
             yield from enumerate(reader, start=2)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             # the stream's error offset is within one read, so find the file's
             try:
@@ -160,30 +158,29 @@ def _parse_records(path, header, make, key, what, ranges, ordinals=None):
     cannot parse; a failed :func:`validate`; a ``key`` already taken (the
     first valid row of a key wins), logged as a duplicate ``what``.
     """
-    source = str(path)
-    log = RejectionLog()
+    entries: list[tuple[int, str]] = []
     records = []
     seen = set()
     for lineno, row in _open_rows(path, header):
         if len(row) != len(header):
-            log.add(source, lineno, f"expected {len(header)} fields, got {len(row)}")
+            entries.append((lineno, f"expected {len(header)} fields, got {len(row)}"))
             continue
         try:
             record = make(row)
         except ValueError as exc:
-            log.add(source, lineno, f"unparseable value: {exc}")
+            entries.append((lineno, f"unparseable value: {exc}"))
             continue
         bad = record if isinstance(record, str) else validate(record, ranges, ordinals)
         if bad is not None:
-            log.add(source, lineno, str(bad))
+            entries.append((lineno, str(bad)))
             continue
         k = key(record)
         if k in seen:
-            log.add(source, lineno, f"duplicate {what} for zone {k[0]} year {k[1]}")
+            entries.append((lineno, f"duplicate {what} for zone {k[0]} year {k[1]}"))
             continue
         seen.add(k)
         records.append(record)
-    return records, log
+    return records, RejectionLog([LogEntry(str(path), line, reason) for line, reason in entries])
 
 
 def parse_soil(
@@ -459,7 +456,7 @@ def parse_weather(
     valid = np.ones(len(table), bool)
     valid[list(rejected)] = False
     rows = np.flatnonzero(valid)
-    key = (zone_code[rows] << 32) | table["day"][rows]
+    key = zone_day_key(zone_code[rows], table["day"][rows])
     first = np.zeros(len(table), bool)
     # return_index takes numpy's sort path; a plain np.unique (and so
     # np.setdiff1d) hashes from numpy 2.3 on: 0.45 s against 0.01 s on the

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import WEATHER_DTYPE, CropRecord, OrdinalSpec, SoilRecord
+from .domain import WEATHER_DTYPE, CropRecord, OrdinalSpec, SoilRecord, zone_day_key
 from .features import (
     DEFAULT_FEATURE_PARAMS,
     WEEKLY_AGGREGATES,
@@ -35,7 +35,6 @@ from .features import (
     aggregate_windows,
     soil_feature_values,
     window_edges,
-    zone_day_key,
 )
 from .ingest import carry_forward_soil, write_crop_csv, write_soil_csv, write_weather_csv
 

@@ -318,10 +318,13 @@ class TestCliPipeline:
         assert "Error: design matrix contains non-finite values" in result.stderr
         assert "Traceback" not in result.output
 
-    @pytest.mark.parametrize("source, quoted", [
-        ("soil", False), ("crop", False), ("weather", False), ("weather", True),
-    ], ids=["soil", "crop", "weather", "quoted-weather"])
-    def test_undecodable_input_is_one_line_diagnostic(self, workdir, source, quoted):
+    @pytest.mark.parametrize("source, quoted, long_field", [
+        ("soil", False, False), ("crop", False, False), ("weather", False, False),
+        ("weather", True, False),
+        ("soil", False, True), ("crop", False, True), ("weather", True, True),
+    ], ids=["soil", "crop", "weather", "quoted-weather",
+            "long-field-soil", "long-field-crop", "long-field-quoted-weather"])
+    def test_undecodable_input_is_one_line_diagnostic(self, workdir, source, quoted, long_field):
         run_cli("synth", "--config", "run.ini")
         path = workdir / "out" / f"{source}.csv"
         data = bytearray(path.read_bytes())
@@ -331,12 +334,24 @@ class TestCliPipeline:
         offset = 0
         for _ in range(5):
             offset = data.index(b"\n", offset) + 1
-        data[offset] = 0xE9  # the first byte of line 6: Latin-1 "e acute", not UTF-8
+        if long_field:  # csv.reader refuses a field over its 131,072-character limit
+            data[offset:offset] = b"9" * 200_000
+            expected = f"out/{source}.csv: line 6: field larger than field limit (131072)"
+        else:
+            data[offset] = 0xE9  # the first byte of line 6: Latin-1 "e acute", not UTF-8
+            expected = f"out/{source}.csv: byte 0xe9 at offset {offset} is not utf-8 text"
         path.write_bytes(bytes(data))
         result = CliRunner().invoke(main, ["features", "--config", "run.ini"])
         assert result.exit_code == 1
-        assert result.stderr == (
-            f"Error: out/{source}.csv: byte 0xe9 at offset {offset} is not utf-8 text\n")
+        assert result.stderr == f"Error: {expected}\n"
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["synth", "ingest", "features", "evaluate", "compare"])
+    def test_output_path_that_is_a_file_is_one_line_diagnostic(self, workdir, command):
+        (workdir / "taken").write_text("")
+        result = CliRunner().invoke(main, [command, "--config", "run.ini", "--out", "taken"])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: [Errno 17] File exists: 'taken'\n"
         assert "Traceback" not in result.output
 
     def test_features_writes_matrices(self, workdir):
