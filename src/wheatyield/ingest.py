@@ -512,6 +512,9 @@ def write_soil_csv(records: list[SoilRecord], path: str | Path) -> None:
             )
 
 
+_WRITE_ROWS = 65536  # weather rows formatted and written at a time
+
+
 def _texts(column: np.ndarray, text) -> list[str]:
     """``text(value)`` for every cell of a 64-bit numeric column, called once
     per distinct bit pattern, so -0.0 and 0.0 keep their own texts."""
@@ -525,8 +528,8 @@ def write_weather_csv(table: np.ndarray, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(WEATHER_HEADER)
         # a chunk at a time, so that the text columns stay small
-        for start in range(0, len(table), 65536):
-            rows = table[start:start + 65536]
+        for start in range(0, len(table), _WRITE_ROWS):
+            rows = table[start:start + _WRITE_ROWS]
             writer.writerows(zip(
                 rows["zone_id"].tolist(),
                 _texts(rows["day"], lambda day: date.fromordinal(day).isoformat()),

@@ -50,6 +50,11 @@ _YEAR_DAYS = 365.25
 
 DAYS_PER_SEASON = 280  # 40 weeks of daily weather from sowing
 
+# zone-years whose weather is drawn and aggregated at a time: enough to
+# spread numpy's per-call cost, few enough that the block's draws stay small
+# beside the table
+_CHUNK_ZONE_YEARS = 128
+
 
 @dataclass(frozen=True)
 class YearSpec:
@@ -199,59 +204,65 @@ def gen_sowing(zone: int, year: int, cfg: GenConfig, seed: int) -> date:
     return cfg.sow_earliest(year) + timedelta(days=offset)
 
 
-def gen_weather(zone: int, year: int, cfg: GenConfig, seed: int) -> np.ndarray:
-    """Daily weather from sowing through sowing + 40 weeks for one zone-year,
-    as a day-sorted ``WEATHER_DTYPE`` array.
+def _fill_weather(block: np.ndarray, zone_years: list[tuple[int, int]], cfg: GenConfig,
+                  seed: int) -> None:
+    """Write the daily weather of ``zone_years`` into ``block``, a
+    ``WEATHER_DTYPE`` array of ``DAYS_PER_SEASON`` rows per zone-year: each
+    one's days from sowing through sowing + 40 weeks, in day order.
 
-    Values are rounded to one or two decimals, like measured data; the CSV
-    writers are lossless, so in-memory records and a written-then-parsed
-    dataset agree exactly.
+    Each zone-year draws from its own generators in a fixed order, so its
+    values do not depend on the others in the block; the arithmetic then runs
+    once on the whole block. Values are rounded to one or two decimals, like
+    measured data; the CSV writers are lossless, so in-memory records and a
+    written-then-parsed dataset agree exactly.
     """
-    sowing = gen_sowing(zone, year, cfg, seed)
-    rng = _rng(seed, _WEATHER, zone, year)
-    n = DAYS_PER_SEASON
-    days = np.zeros(n, WEATHER_DTYPE)
-    days["zone_id"] = sys.intern(cfg.zone_id(zone))
-    days["day"] = ordinals = sowing.toordinal() + np.arange(n)
+    k, n = len(zone_years), DAYS_PER_SEASON
+    table = block.reshape(k, n)
+    sowing = np.empty(k, np.int64)
+    zone_offset, zone_wet = np.empty(k), np.empty(k)
+    daily, halfrange, coin, rain, solar, humidity = (np.empty((k, n)) for _ in range(6))
+    for i, (zone, year) in enumerate(zone_years):
+        sowing[i] = gen_sowing(zone, year, cfg, seed).toordinal()
+        rng = _rng(seed, _WEATHER, zone, year)
+        zone_offset[i] = rng.normal(0.0, cfg.t_zone_sd)
+        daily[i] = rng.normal(0.0, cfg.t_daily_sd, n)
+        halfrange[i] = rng.normal(0.0, cfg.t_halfrange_sd, n)
+        zone_wet[i] = math.exp(rng.normal(0.0, cfg.zone_wet_sd))
+        coin[i] = rng.random(n)
+        rain[i] = rng.exponential(cfg.rain_scale_mm, n)
+        solar[i] = rng.normal(0.0, cfg.sol_sd, n)
+        humidity[i] = rng.normal(0.0, cfg.hum_sd, n)
+    zone_ids = [sys.intern(cfg.zone_id(zone)) for zone, _ in zone_years]
+    table["zone_id"] = np.array(zone_ids, dtype=object)[:, None]
+    table["day"] = ordinals = sowing[:, None] + np.arange(n)
 
-    zone_offset = rng.normal(0.0, cfg.t_zone_sd)
-    t_mean = (
-        _seasonal(ordinals, cfg.t_base, cfg.t_amp, _T_PEAK)
-        + zone_offset
-        + rng.normal(0.0, cfg.t_daily_sd, n)
-    )
-    half = np.maximum(
-        cfg.t_halfrange + rng.normal(0.0, cfg.t_halfrange_sd, n), cfg.t_halfrange_min
-    )
-    days["t_min"] = np.round(t_mean - half, 1)
-    days["t_max"] = np.round(t_mean + half, 1)
+    t_mean = _seasonal(ordinals, cfg.t_base, cfg.t_amp, _T_PEAK) + zone_offset[:, None] + daily
+    half = np.maximum(cfg.t_halfrange + halfrange, cfg.t_halfrange_min)
+    table["t_min"] = np.round(t_mean - half, 1)
+    table["t_max"] = np.round(t_mean + half, 1)
 
-    zone_wet = math.exp(rng.normal(0.0, cfg.zone_wet_sd))
     wet_prob = np.clip(
         _seasonal(ordinals, cfg.wet_prob_base, cfg.wet_prob_amp, _WET_PEAK), 0.02, 0.98
     )
-    wet = rng.random(n) < wet_prob
-    days["precip"] = np.round(rng.exponential(cfg.rain_scale_mm, n) * wet * zone_wet, 2)
+    table["precip"] = np.round(rain * (coin < wet_prob) * zone_wet[:, None], 2)
 
-    days["solar"] = np.round(
-        np.clip(
-            _seasonal(ordinals, cfg.sol_base, cfg.sol_amp, _SOL_PEAK)
-            + rng.normal(0.0, cfg.sol_sd, n),
-            0.0,
-            None,
-        ),
+    table["solar"] = np.round(
+        np.clip(_seasonal(ordinals, cfg.sol_base, cfg.sol_amp, _SOL_PEAK) + solar, 0.0, None),
         2,
     )
-    days["humidity"] = np.round(
+    table["humidity"] = np.round(
         np.clip(
-            _seasonal(ordinals, cfg.hum_base, -cfg.hum_amp, _HUM_TROUGH)
-            + rng.normal(0.0, cfg.hum_sd, n),
-            0.0,
-            100.0,
+            _seasonal(ordinals, cfg.hum_base, -cfg.hum_amp, _HUM_TROUGH) + humidity, 0.0, 100.0
         ),
         1,
     )
 
+
+def gen_weather(zone: int, year: int, cfg: GenConfig, seed: int) -> np.ndarray:
+    """Daily weather from sowing through sowing + 40 weeks for one zone-year,
+    as a day-sorted ``WEATHER_DTYPE`` array (see :func:`_fill_weather`)."""
+    days = np.zeros(DAYS_PER_SEASON, WEATHER_DTYPE)
+    _fill_weather(days, [(zone, year)], cfg, seed)
     return days
 
 
@@ -377,26 +388,32 @@ def generate_records(
         soil.extend(tests)
 
     zone_years = [(zone, year) for year in sorted(cfg.years) for zone in rosters[year]]
-    weather = np.concatenate(
-        [gen_weather(zone, year, cfg, seed) for zone, year in zone_years]
-        or [np.empty(0, WEATHER_DTYPE)]
-    )
-    # each zone-year is a block of DAYS_PER_SEASON days from sowing, keyed as its own zone
-    weeks = feature_params.weeks()
-    block = np.arange(len(zone_years))
-    key = zone_day_key(np.repeat(block, DAYS_PER_SEASON), weather["day"])
-    edges = window_edges(key, block, weather["day"][::DAYS_PER_SEASON], feature_params)
-    values, complete, overflow = aggregate_windows(
-        weather, np.arange(len(weather)), edges, feature_params.min_days_per_week
-    )
-    dd = values[:, :, WEEKLY_AGGREGATES.index("dd_sum")]
-    ap = values[:, :, WEEKLY_AGGREGATES.index("ap_sum")]
+    n, weeks = DAYS_PER_SEASON, feature_params.weeks()
+    weather = np.zeros(len(zone_years) * n, WEATHER_DTYPE)  # np.zeros: see ingest._weather_rows
+    dd = np.zeros((len(zone_years), len(weeks)))
+    ap = np.zeros_like(dd)
+    complete = np.zeros(dd.shape, bool)
+    overflow = np.empty(len(zone_years), np.int64)
+    for lo in range(0, len(zone_years), _CHUNK_ZONE_YEARS):
+        part = zone_years[lo:lo + _CHUNK_ZONE_YEARS]
+        hi = lo + len(part)
+        block = weather[lo * n:hi * n]
+        _fill_weather(block, part, cfg, seed)
+        # each zone-year is a run of n days from sowing, keyed as its own zone
+        zy = np.arange(len(part))
+        key = zone_day_key(np.repeat(zy, n), block["day"])
+        edges = window_edges(key, zy, block["day"][::n], feature_params)
+        values, complete[lo:hi], overflow[lo:hi] = aggregate_windows(
+            block, np.arange(len(block)), edges, feature_params.min_days_per_week
+        )
+        dd[lo:hi] = values[:, :, WEEKLY_AGGREGATES.index("dd_sum")]
+        ap[lo:hi] = values[:, :, WEEKLY_AGGREGATES.index("ap_sum")]
 
     crops: list[CropRecord] = []
     for i, (zone, year) in enumerate(zone_years):
         if overflow[i] >= 0:
             raise OverflowError(f"weekly aggregate overflows in week {weeks[overflow[i]]}")
-        sowing = int(weather["day"][DAYS_PER_SEASON * i])
+        sowing = int(weather["day"][n * i])
         soil_rec = carry_forward_soil(tests_by_zone[zone], cfg.zone_id(zone), year)
         if soil_rec is None:  # [synth] test_first_hi falls after the first crop year
             raise ValueError(f"zone {cfg.zone_id(zone)} has no soil test at or before {year}")

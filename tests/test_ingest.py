@@ -2,6 +2,7 @@ import csv
 import math
 import sys
 import tempfile
+import tracemalloc
 from datetime import date
 from pathlib import Path
 from unittest.mock import patch
@@ -407,19 +408,43 @@ def reference_write_weather(table, path):
 SPECIAL_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan,
                   np.array([0x7FF8000000000001]).view(np.float64).item(), 1.5, 5e-324]
 WEATHER_VALUE = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
-ZONES = ["Z1", 'Z,"2"', "Z 3"]  # the second one needs quoting
+# the second one needs quoting; the rest try the line ends, an empty id,
+# outer spaces and a non-ASCII letter
+ZONES = ["Z1", 'Z,"2"', "Z 3", "Z\r4", "Z\n5", "", " Z6 ", "Zé"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(st.tuples(st.sampled_from(ZONES), st.integers(1, 800_000),
                                *[WEATHER_VALUE] * 5), max_size=30))
+@example(rows=[])
 def test_write_weather_csv_matches_row_at_a_time_reference(rows):
     table = np.array(rows, dtype=WEATHER_DTYPE)
-    with tempfile.TemporaryDirectory() as tmp:
-        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+    # the default chunk of rows, then one that most tables cross
+    for chunk in (ingest._WRITE_ROWS, 7):
+        with tempfile.TemporaryDirectory() as tmp, patch.object(ingest, "_WRITE_ROWS", chunk):
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            write_weather_csv(table, got)
+            reference_write_weather(table, want)
+            assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_weather_csv_memory_follows_output_not_longest_zone_id(tmp_path):
+    # one 100 kB zone id among 2,000 rows: a writer that pads every row to
+    # its column's longest text would hold 2,000 x 100 kB = 200 MB
+    long_id = "Z," + "x" * 100_000
+    day = date(2017, 3, 2).toordinal()
+    table = np.array([(long_id if i == 0 else "Z1", day + i % 300, 1.5, -0.0, 2.25, float(i), 0.1)
+                      for i in range(2000)], dtype=WEATHER_DTYPE)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    tracemalloc.start()
+    try:
         write_weather_csv(table, got)
-        reference_write_weather(table, want)
-        assert got.read_bytes() == want.read_bytes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reference_write_weather(table, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert peak < 10 * got.stat().st_size
 
 
 def test_write_weather_csv_keeps_signed_zeros_apart(tmp_path):

@@ -1,3 +1,6 @@
+import math
+import sys
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -10,6 +13,11 @@ from test_features import reference_window_weeks
 from wheatyield import synthgen
 from wheatyield.synthgen import (
     _CROP,
+    _HUM_TROUGH,
+    _SOL_PEAK,
+    _T_PEAK,
+    _WEATHER,
+    _WET_PEAK,
     DAYS_PER_SEASON,
     GenConfig,
     YearSpec,
@@ -19,6 +27,7 @@ from wheatyield.synthgen import (
     gen_yield,
     generate_records,
     _rng,
+    _seasonal,
     soil_tests_for_zone,
     zone_roster,
 )
@@ -139,6 +148,56 @@ class TestGenYield:
         assert values.std(ddof=1) == pytest.approx(1.75, abs=0.35)
 
 
+def reference_gen_weather(zone, year, cfg, seed):
+    """``gen_weather`` for one zone-year with its own arithmetic: the block
+    generator's independent one-zone-year copy."""
+    sowing = gen_sowing(zone, year, cfg, seed)
+    rng = _rng(seed, _WEATHER, zone, year)
+    n = DAYS_PER_SEASON
+    days = np.zeros(n, WEATHER_DTYPE)
+    days["zone_id"] = sys.intern(cfg.zone_id(zone))
+    days["day"] = ordinals = sowing.toordinal() + np.arange(n)
+
+    zone_offset = rng.normal(0.0, cfg.t_zone_sd)
+    t_mean = (
+        _seasonal(ordinals, cfg.t_base, cfg.t_amp, _T_PEAK)
+        + zone_offset
+        + rng.normal(0.0, cfg.t_daily_sd, n)
+    )
+    half = np.maximum(
+        cfg.t_halfrange + rng.normal(0.0, cfg.t_halfrange_sd, n), cfg.t_halfrange_min
+    )
+    days["t_min"] = np.round(t_mean - half, 1)
+    days["t_max"] = np.round(t_mean + half, 1)
+
+    zone_wet = math.exp(rng.normal(0.0, cfg.zone_wet_sd))
+    wet_prob = np.clip(
+        _seasonal(ordinals, cfg.wet_prob_base, cfg.wet_prob_amp, _WET_PEAK), 0.02, 0.98
+    )
+    wet = rng.random(n) < wet_prob
+    days["precip"] = np.round(rng.exponential(cfg.rain_scale_mm, n) * wet * zone_wet, 2)
+
+    days["solar"] = np.round(
+        np.clip(
+            _seasonal(ordinals, cfg.sol_base, cfg.sol_amp, _SOL_PEAK)
+            + rng.normal(0.0, cfg.sol_sd, n),
+            0.0,
+            None,
+        ),
+        2,
+    )
+    days["humidity"] = np.round(
+        np.clip(
+            _seasonal(ordinals, cfg.hum_base, -cfg.hum_amp, _HUM_TROUGH)
+            + rng.normal(0.0, cfg.hum_sd, n),
+            0.0,
+            100.0,
+        ),
+        1,
+    )
+    return days
+
+
 def reference_records(cfg, params):
     """``generate_records`` one zone-year at a time, each window aggregated
     one week at a time; also returns each zone-year's window totals."""
@@ -150,7 +209,7 @@ def reference_records(cfg, params):
     weather, crops, totals = [], [], []
     for year in sorted(cfg.years):
         for zone in rosters[year]:
-            days = gen_weather(zone, year, cfg, seed)
+            days = reference_gen_weather(zone, year, cfg, seed)
             weather.append(days)
             sowing = int(days["day"][0])
             weekly = reference_window_weeks(days, sowing, params)
@@ -167,13 +226,20 @@ def reference_records(cfg, params):
 
 
 class TestGenerateRecords:
-    @pytest.mark.parametrize("cfg, params", [
-        (SMALL, FeatureParams()),
-        (SMALL.with_(weather_weight=0.0), FeatureParams()),
-        (SMALL.with_(seed=8), FeatureParams(week_start=30, week_end=43)),  # past day 280
-        (SMALL.with_(seed=9), FeatureParams(week_start=38, week_end=41, min_days_per_week=1)),
+    # the last three cut SMALL's 32 zone-years into blocks of 1, 5 and 31
+    @pytest.mark.parametrize("cfg, params, chunk", [
+        pytest.param(SMALL, FeatureParams(), None, id="cfg0-params0"),
+        pytest.param(SMALL.with_(weather_weight=0.0), FeatureParams(), None, id="cfg1-params1"),
+        pytest.param(SMALL.with_(seed=8), FeatureParams(week_start=30, week_end=43),  # past day 280
+                     None, id="cfg2-params2"),
+        pytest.param(SMALL.with_(seed=9),
+                     FeatureParams(week_start=38, week_end=41, min_days_per_week=1),
+                     None, id="cfg3-params3"),
+        *(pytest.param(SMALL, FeatureParams(), chunk, id=f"chunk{chunk}") for chunk in (1, 5, 31)),
     ])
-    def test_matches_per_zone_year_reference(self, cfg, params, monkeypatch):
+    def test_matches_per_zone_year_reference(self, cfg, params, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(synthgen, "_CHUNK_ZONE_YEARS", chunk)
         totals = []
 
         def recording_gen_yield(soil, dd_total, ap_total, *rest):
@@ -202,6 +268,17 @@ class TestGenerateRecords:
         zones = {c.zone_id for c in crops}
         assert set(weather["zone_id"]) == zones
         assert len({id(z) for z in weather["zone_id"]}) == len(zones)
+
+    def test_holds_one_table_and_one_block_of_draws(self):
+        # the table, plus one block of zone-years' draws and window sums
+        # beside it: half a table is a bound by design, not a measurement
+        tracemalloc.start()
+        try:
+            _, weather, _ = generate_records(GenConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * weather.nbytes
 
     def test_single_zone_year_counts(self):
         cfg = GenConfig(years={2018: YearSpec(1, 9.4, 1.7)}, zone_pool=1, seed=1)
