@@ -234,7 +234,7 @@ def load_model(path: str | Path) -> TrainedModel:
         raise ValueError(f"column_names in {path} is not a list of strings")
     estimator = ESTIMATORS[kind](params)
     try:
-        estimator.load_state(doc["state"])
+        estimator.load_state(doc["state"], len(names))
     except KeyError as exc:
         raise ValueError(f"{kind} state in {path} has no key {exc}") from None
     except ValueError as exc:

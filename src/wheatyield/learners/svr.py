@@ -75,8 +75,11 @@ class LinearSVR:
             "scale": self.scale.tolist(),
         }
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, n_columns: int) -> None:
         self.w = np.asarray(state["w"], dtype=np.float64)
         self.b = float(state["b"])
         self.mu = np.asarray(state["mu"], dtype=np.float64)
         self.scale = np.asarray(state["scale"], dtype=np.float64)
+        for name in ("w", "mu", "scale"):
+            if getattr(self, name).shape != (n_columns,):
+                raise ValueError(f"{name} needs one entry per column ({n_columns})")

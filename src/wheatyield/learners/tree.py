@@ -60,14 +60,29 @@ class TreeNodes:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "TreeNodes":
-        return cls(
+    def from_state(cls, state: dict, n_columns: int) -> "TreeNodes":
+        """The tree a state holds, checked so that :meth:`predict` on an
+        ``n_columns`` matrix ends on a leaf for every row."""
+        tree = cls(
             state["feature"],
             state["threshold"],
             state["left"],
             state["right"],
             state["value"],
         )
+        n = tree.feature.size  # not n_nodes: a JSON number gives a 0-d array
+        if n == 0 or any(getattr(tree, name).shape != (n,) for name in cls.__slots__):
+            raise ValueError("a tree's five node arrays need one length of at least 1")
+        if tree.feature.max() >= n_columns:
+            raise ValueError(f"a tree splits on a feature id >= its {n_columns} columns")
+        # both growers add a node's children after it, so this also rules
+        # out a cycle, which predict would follow forever
+        node = np.flatnonzero(tree.feature >= 0)
+        for child in (tree.left[node], tree.right[node]):
+            if ((child <= node) | (child >= n)).any():
+                raise ValueError("a tree's child ids must exceed their node's id "
+                                 "and be below its node count")
+        return tree
 
 
 class _Growth:
@@ -268,9 +283,9 @@ class TreeEnsemble:
         self._check_fitted()
         return {"base_value": self.base_value, "trees": [t.to_state() for t in self.trees]}
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, n_columns: int) -> None:
         self.base_value = float(state["base_value"])
-        self.trees = [TreeNodes.from_state(s) for s in state["trees"]]
+        self.trees = [TreeNodes.from_state(s, n_columns) for s in state["trees"]]
         if self.averages and not self.trees:
             raise ValueError("a forest needs at least one tree")
 

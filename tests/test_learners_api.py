@@ -227,6 +227,36 @@ class TestSerializationFormat:
             load_model(path)
         assert str(excinfo.value) == message.format(path=path)
 
+    @pytest.mark.parametrize("kind, key, edit, message", [
+        ("decision_tree", "left", lambda a: [0] + a[1:],
+         "a tree's child ids must exceed their node's id and be below its node count"),
+        ("decision_tree", "feature", lambda a: [7] + a[1:],
+         "a tree splits on a feature id >= its 3 columns"),
+        ("decision_tree", "left", lambda a: a[:-1],
+         "a tree's five node arrays need one length of at least 1"),
+        ("decision_tree", "left", lambda a: [99] + a[1:],
+         "a tree's child ids must exceed their node's id and be below its node count"),
+        ("svr", "w", lambda a: a[:2], "w needs one entry per column (3)"),
+    ], ids=["root-is-its-own-child", "feature-past-columns", "truncated-left",
+            "child-past-nodes", "short-svr-w"])
+    def test_reject_state_predict_cannot_use(self, tmp_path, kind, key, edit, message):
+        # before these checks, the first document loaded and then made
+        # predict loop forever, and the others raised inside predict
+        rng = np.random.default_rng(8)
+        model = train(kind, rng.normal(size=(40, 3)), rng.normal(size=40),
+                      ModelParams(max_depth=3, min_samples_leaf=2, svr_iterations=50),
+                      ["a", "b", "c"])
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        state = doc["state"] if kind == "svr" else doc["state"]["trees"][0]
+        assert kind == "svr" or state["feature"][0] >= 0  # the root splits
+        state[key] = edit(state[key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"invalid {kind} state in {path}: {message}"
+
     @pytest.mark.parametrize("key", ["kind", "params", "column_names", "state"])
     def test_reject_document_without_key(self, tmp_path, key):
         rng = np.random.default_rng(6)
