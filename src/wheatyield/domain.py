@@ -90,10 +90,11 @@ WEATHER_DTYPE = np.dtype(
 )
 
 
-def zone_day_key(zone: np.ndarray, day: np.ndarray) -> np.ndarray:
+def zone_day_key(zone: np.ndarray, day: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The int64 key of (zone code, day ordinal in [0, 2**32)): sorting by it
-    sorts by zone, then day, and equal keys are the same zone-day."""
-    return zone * 2**32 + day
+    sorts by zone, then day, and equal keys are the same zone-day. With
+    ``out`` (which may be ``zone`` itself) the key is built there, in place."""
+    return np.add(np.multiply(zone, 2**32, out=out), day, out=out)
 
 
 @dataclass(frozen=True, slots=True)

@@ -323,13 +323,17 @@ def build_instances(
         runs = np.flatnonzero(np.r_[True, zone_ids[1:] != zone_ids[:-1]][: len(weather)])
         codes: dict[str, int] = {}  # by first appearance; read once per run of one zone
         run_code = [codes.setdefault(z, len(codes)) for z in zone_ids[runs].tolist()]
-        zone_code = np.repeat(np.array(run_code, np.int64), np.diff(runs, append=len(weather)))
-        key = zone_day_key(zone_code, weather["day"])
+        # each row's zone code, then in place its key, then the sorted keys:
+        # one key and one order beside the table
+        key = np.repeat(np.array(run_code, np.int64), np.diff(runs, append=len(weather)))
+        zone_day_key(key, weather["day"], out=key)
         order = np.argsort(key, kind="stable")
+        key = key[order]
         with_soil = [crop for crop, soil in zip(crops, soil_of) if soil is not None]
         zone = np.array([codes.get(crop.zone_id, len(codes)) for crop in with_soil], np.int64)
         sowing = np.array([crop.sowing_date.toordinal() for crop in with_soil], np.int64)
-        edges = window_edges(key[order], zone, sowing, params)
+        edges = window_edges(key, zone, sowing, params)
+        del key
         values, complete, overflow = aggregate_windows(
             weather, order, edges, params.min_days_per_week
         )

@@ -214,6 +214,7 @@ def parse_soil(
 
 
 _BLOCK = 1 << 20  # bytes read at a time from weather.csv
+_ROWS = 1 << 16  # parsed weather rows given their zone_id, or compared sorted, at a time
 
 # _MASK[k] keeps the first k bytes of a little-endian 8-byte word
 _MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
@@ -246,12 +247,19 @@ def _weather_rows(path):
     # np.zeros, not np.empty, which sets the object field one row at a time (0.3 s)
     table = np.zeros(len(lines), WEATHER_DTYPE)
     zone_code = np.frombuffer(codes, np.int64)
-    table["zone_id"] = np.array(list(zones), dtype=object)[zone_code]
+    _fill_zone_ids(table, zone_code, zones)
     table["day"] = days
     columns = np.frombuffer(values).reshape(-1, len(WEATHER_FIELDS)).T
     for name, column in zip(WEATHER_FIELDS, columns):
         table[name] = column
     return table, np.frombuffer(lines, np.int64), zone_code, entries
+
+
+def _fill_zone_ids(table: np.ndarray, zone_code: np.ndarray, zones: dict[str, int]) -> None:
+    """Set each row's zone_id to the id of its code, ``_ROWS`` rows at a time."""
+    ids = np.array(list(zones), dtype=object)
+    for start in range(0, len(table), _ROWS):
+        table["zone_id"][start:start + _ROWS] = ids[zone_code[start:start + _ROWS]]
 
 
 def _scan(path: Path) -> tuple[int, bool]:
@@ -272,20 +280,25 @@ def _scan(path: Path) -> tuple[int, bool]:
 
 def _blocks(path: Path):
     """(offset, bytes) of consecutive blocks of about ``_BLOCK`` bytes, each
-    ending just after a line end, except the last, which ends the file."""
-    offset, tail = 0, b""
+    ending just after a line end, except the last, which ends the file. The
+    bytes after a block's last line end are read again with the next block,
+    so that only one copy of a block is held."""
+    offset, size = 0, _BLOCK
     with open(path, "rb") as fh:
-        while chunk := fh.read(_BLOCK):
-            buf = tail + chunk
+        while block := fh.read(size):
             # a final CR may be the first half of a CRLF: cut there only once
             # the next byte is known
-            cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
-            if cut:
-                yield offset, buf[:cut]
-                offset += cut
-            tail = buf[cut:]
-    if tail:
-        yield offset, tail
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+            if len(block) < size:  # the file's end
+                cut = len(block)
+            elif not cut:  # a line longer than the block: read twice as much
+                size *= 2
+                fh.seek(offset)
+                continue
+            block = block[:cut]
+            yield offset, block
+            offset, size = offset + cut, _BLOCK
+            fh.seek(offset)
 
 
 def _records(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -405,32 +418,35 @@ def _weather_blocks(path: Path, bound: int):
         for i in np.flatnonzero(fields != width).tolist():
             entries.append((int(line[i]), f"expected {width} fields, got {fields[i]}"))
         rows = np.flatnonzero(fields == width)
-        cuts = commas[first_comma[rows, None] + np.arange(width - 1)]
-        field_starts = np.column_stack((starts[rows], cuts + 1))
-        field_ends = np.column_stack((cuts, ends[rows]))
+        first_comma = first_comma[rows]
         # the 8 bytes at every offset up to 8 past the end: a field starts
         # at the end at the latest, and its second word 8 bytes later
         padded = np.frombuffer(block + bytes(16), np.uint8)
         windows = np.lib.stride_tricks.as_strided(padded, (len(block) + 9, 8), (1, 1))
-        columns, failed = [], {}
-        for col, convert in enumerate(converters):
-            values, reasons = _column(block, windows, field_starts[:, col],
-                                      field_ends[:, col], convert, encoding)
-            columns.append(values)
+        # each column goes straight into the table, below row n + len(rows)
+        # <= bound; the rows that do not parse are dropped after the last
+        failed: dict[int, str] = {}
+        field_starts = starts[rows]
+        for col, (convert, target) in enumerate(zip(converters, targets)):
+            field_ends = commas[first_comma + col] if col < width - 1 else ends[rows]
+            target[n:n + len(rows)], reasons = _column(block, windows, field_starts,
+                                                       field_ends, convert, encoding)
             for i, reason in reasons.items():  # a row's first column that does not parse
                 failed.setdefault(i, reason)
-        entries += [(int(line[rows[i]]), reason) for i, reason in failed.items()]
-        ok = np.ones(len(rows), bool)
-        ok[list(failed)] = False
-        k = int(ok.sum())
-        lines[n:n + k] = line[rows[ok]]
-        for target, values in zip(targets, columns):
-            target[n:n + k] = values[ok]
-        n += k
+            field_starts = field_ends + 1
+        lines[n:n + len(rows)] = line[rows]
+        if failed:
+            entries += [(int(line[rows[i]]), reason) for i, reason in failed.items()]
+            ok = np.ones(len(rows), bool)
+            ok[list(failed)] = False
+            for column in (lines, *targets):
+                column[n:n + len(rows) - len(failed)] = column[n:n + len(rows)][ok]
+        n += len(rows) - len(failed)
+        del commas, padded, windows  # the largest arrays go before the next block is read
     if header is None:
         raise SchemaError(f"{path}: empty file, expected header")
     table, zone_code = table[:n], zone_code[:n]
-    table["zone_id"] = np.array(list(zones), dtype=object)[zone_code]
+    _fill_zone_ids(table, zone_code, zones)
     return table, lines[:n], zone_code, entries
 
 
@@ -444,35 +460,47 @@ def parse_weather(
     distinct field text converted once; a file with one takes the
     ``csv.reader`` row loop, which reads CSV quoting. The range checks and
     the first-valid-wins (zone_id, date) duplicate search then run on whole
-    columns.
+    columns, beside the table: one key and one sort order.
     """
     bound, quoted = _scan(Path(path))
     if quoted:
-        table, lines, zone_code, entries = _weather_rows(path)
+        table, lines, key, entries = _weather_rows(path)
     else:
-        table, lines, zone_code, entries = _weather_blocks(Path(path), bound)
+        table, lines, key, entries = _weather_blocks(Path(path), bound)
     rejected = weather_rejections(table, ranges)
     entries += [(int(lines[i]), str(bad)) for i, bad in rejected.items()]
-    valid = np.ones(len(table), bool)
-    valid[list(rejected)] = False
-    rows = np.flatnonzero(valid)
-    key = zone_day_key(zone_code[rows], table["day"][rows])
-    first = np.zeros(len(table), bool)
-    # return_index takes numpy's sort path; a plain np.unique (and so
-    # np.setdiff1d) hashes from numpy 2.3 on: 0.45 s against 0.01 s on the
-    # 524k keys of a default-scale file
-    first[rows[np.unique(key, return_index=True)[1]]] = True
-    for i in np.flatnonzero(valid & ~first).tolist():
+    # each row's zone code becomes, in place, its (zone, day) key with a low
+    # bit set if the row is rejected: the stable sort puts each zone-day's
+    # valid rows first, in file order, and its rejected rows after them
+    zone_day_key(key, table["day"], out=key)
+    key <<= 1
+    key[list(rejected)] += 1
+    order = np.argsort(key, kind="stable")
+    # so a valid row whose sorted predecessor has its key repeats that
+    # valid row's zone-day, and the first valid row of a zone-day has none.
+    # The sorted keys are compared ``_ROWS`` at a time, each slice after the
+    # first starting one row back
+    duplicates: list[int] = []
+    for start in range(0, len(order), _ROWS):
+        rows = order[max(start - 1, 0):start + _ROWS]
+        sorted_key = key[rows]
+        at = np.flatnonzero(sorted_key[1:] == sorted_key[:-1]) + 1
+        duplicates += rows[at[sorted_key[at] % 2 == 0]].tolist()
+    del key, order
+    for i in duplicates:
         zone, day = table[i].item()[:2]
         entries.append((int(lines[i]),
                         f"duplicate weather for zone {zone} on {date.fromordinal(day)}"))
     log = RejectionLog([LogEntry(str(path), line, reason) for line, reason in sorted(entries)])
-    # keep the accepted rows in place, a column at a time: table[first]
+    # keep the accepted rows in place, a column at a time: table[keep]
     # would hold a second copy of the table at once
-    keep = np.flatnonzero(first)
+    keep = np.ones(len(table), bool)
+    keep[list(rejected)] = False
+    keep[duplicates] = False
+    n = int(np.count_nonzero(keep))
     for name in WEATHER_DTYPE.names:
-        table[name][:len(keep)] = table[name][keep]
-    return table[:len(keep)], log
+        table[name][:n] = table[name][keep]
+    return table[:n], log
 
 
 def parse_crop(

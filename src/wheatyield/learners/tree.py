@@ -14,6 +14,8 @@ import numpy as np
 
 from .splits import Split, _random_search, _sorted_search, presort
 
+_INT32 = np.iinfo(np.int32)
+
 
 class TreeNodes:
     """Flat node storage for one fitted tree."""
@@ -63,6 +65,18 @@ class TreeNodes:
     def from_state(cls, state: dict, n_columns: int) -> "TreeNodes":
         """The tree a state holds, checked so that :meth:`predict` on an
         ``n_columns`` matrix ends on a leaf for every row."""
+        # before the cast, which would wrap (numpy 1.x) or refuse (2.x) an
+        # id outside int32 and refuse a null, neither with a ValueError
+        for name in cls.__slots__:
+            ids = name in ("feature", "left", "right")
+            nodes = state[name]
+            if not isinstance(nodes, list) or not all(
+                type(v) is int and _INT32.min <= v <= _INT32.max if ids
+                else type(v) in (int, float)
+                for v in nodes
+            ):
+                raise ValueError(f"a tree's {name} is not a list of "
+                                 f"{'int32 ids' if ids else 'numbers'}")
         tree = cls(
             state["feature"],
             state["threshold"],
@@ -70,7 +84,7 @@ class TreeNodes:
             state["right"],
             state["value"],
         )
-        n = tree.feature.size  # not n_nodes: a JSON number gives a 0-d array
+        n = tree.n_nodes
         if n == 0 or any(getattr(tree, name).shape != (n,) for name in cls.__slots__):
             raise ValueError("a tree's five node arrays need one length of at least 1")
         if tree.feature.max() >= n_columns:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from datetime import date, timedelta
@@ -26,7 +27,9 @@ from wheatyield.features import (
     window_edges,
     zone_day_key,
 )
-from wheatyield.ingest import carry_forward_soil
+from wheatyield import ingest
+from wheatyield.ingest import carry_forward_soil, parse_weather, write_weather_csv
+from wheatyield.synthgen import GenConfig, generate_records
 
 
 def day(d: date, t_max=10.0, t_min=2.0, precip=1.0, solar=5.0, humidity=80.0, zone="Z1"):
@@ -609,3 +612,54 @@ class TestBatchedWindows:
         params = FeatureParams(week_start=1, week_end=3)
         with pytest.raises(ValueError, match=r"^week bucket has 8 days, at most 7 allowed$"):
             build_instances([crop_record()], [soil_record()], weather, MODE_SOIL_WEATHER, params)
+
+
+@pytest.fixture(scope="module")
+def default_scale(tmp_path_factory):
+    """The default synth config's soil tests, crops and weather.csv."""
+    soils, weather, crops = generate_records(GenConfig())
+    path = tmp_path_factory.mktemp("default_scale") / "weather.csv"
+    write_weather_csv(weather, path)
+    return soils, crops, path, len(weather)
+
+
+def traced_peak(call):
+    """``call()``'s result and the most memory it held at once beyond what
+    was held before it, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peaks bounded by the design, not by a measurement: what must be live
+    at once, with the parts that do not grow with the table bounded by a
+    multiple of the block or by what the table-sized parts leave."""
+
+    def test_parse_weather_holds_the_table_three_row_columns_and_one_block(self, default_scale):
+        _, _, path, n = default_scale
+        (table, log), peak = traced_peak(lambda: parse_weather(path))
+        assert len(table) == n and len(log) == 0
+        # while the blocks are read, each row's line and zone code (8 bytes
+        # each) and one block's scratch: the block, its padded copy, 8-byte
+        # offsets of its commas and rows, the values of one column; while
+        # duplicates are sought, the line, the (zone, day) key made in the
+        # zone code's place and the sort order (8 bytes a row each), with
+        # the sort's buffer and one slice of sorted keys in the block's share
+        assert peak < table.nbytes + 3 * 8 * n + 8 * ingest._BLOCK
+
+    def test_build_instances_holds_one_key_and_one_order(self, default_scale):
+        soils, crops, path, n = default_scale
+        weather, _ = parse_weather(path)
+        (instances, _), peak = traced_peak(
+            lambda: build_instances(crops, soils, weather, MODE_SOIL_WEATHER))
+        matrix = len(crops) * len(instances.column_names) * 8
+        # the key, its sort order and, for a moment, its sorted copy (8
+        # bytes a row each); then the per-week aggregates and the instance
+        # matrix (one matrix each), while the gathering passes' few MB fit
+        # in the 16 bytes a row the two keys leave
+        assert peak < 3 * 8 * n + 2 * matrix

@@ -230,6 +230,21 @@ LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
                ["Z1", "2012-10-03", "1.000000000000000000001", "1\u00a0", "3", "4", "60"],
                ["Z1", "2012-10-04", "x" * 17, "1", "3", "4", "60"]],
           edits=[], ends=["\n"] * 27, final_end=True)
+# the duplicate search: a rejected row, then a valid one of its zone-day
+# (kept, and not logged as a duplicate); a valid row, a rejected copy, a
+# valid copy; and a duplicate pair of 25-byte lines, which 29-byte blocks
+# hold one a block, in sorted places 1 and 2, across a two-row slice
+@example(rows=[["Z1", "2012-10-01", "99.9", "2", "3", "4", "60"],
+               ["Z1", "2012-10-01", "1", "2", "3", "4", "60"]],
+          edits=[], ends=["\n"] * 27, final_end=True)
+@example(rows=[["Z1", "2012-10-01", "1", "2", "3", "4", "60"],
+               ["Z1", "2012-10-01", "1", "2", "3", "4", "100.5"],
+               ["Z1", "2012-10-01", "2", "2", "3", "4", "60"]],
+          edits=[], ends=["\n"] * 27, final_end=True)
+@example(rows=[["Z1", "2012-10-01", "1", "2", "3", "4", "60"],
+               ["Z1", "2012-10-02", "1", "2", "3", "4", "60"],
+               ["Z1", "2012-10-02", "2", "2", "3", "4", "60"]],
+          edits=[], ends=["\n"] * 27, final_end=True)
 @given(rows=st.lists(WEATHER_ROW, min_size=1, max_size=25), edits=st.lists(EDIT, max_size=12),
        ends=st.lists(LINE_ENDS, min_size=27, max_size=27), final_end=st.booleans())
 def test_parse_weather_matches_row_at_a_time_reference(rows, edits, ends, final_end):
@@ -257,10 +272,12 @@ def test_parse_weather_matches_row_at_a_time_reference(rows, edits, ends, final_
         path.write_bytes(text.encode())
         want_rows, want_log = reference_parse_weather(path)
         want = np.array([r[2:] for r in want_rows], np.float64).reshape(-1, len(WEATHER_FIELDS))
-        # the default block size, and blocks of a few dozen bytes, so that
-        # rows straddle block boundaries
-        for block in (ingest._BLOCK, 29):
+        # the default sizes, then blocks of a few dozen bytes, so that rows
+        # straddle block boundaries, and slices of two rows, so that every
+        # row-slice boundary is crossed
+        for block, rows_at_a_time in ((ingest._BLOCK, ingest._ROWS), (29, 2)):
             with patch.object(ingest, "_BLOCK", block), \
+                    patch.object(ingest, "_ROWS", rows_at_a_time), \
                     patch.object(ingest, "_weather_rows", wraps=ingest._weather_rows) as loop:
                 table, log = parse_weather(path)
             assert loop.called == ('"' in text)

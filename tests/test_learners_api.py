@@ -1,5 +1,6 @@
 import json
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -237,11 +238,17 @@ class TestSerializationFormat:
         ("decision_tree", "left", lambda a: [99] + a[1:],
          "a tree's child ids must exceed their node's id and be below its node count"),
         ("svr", "w", lambda a: a[:2], "w needs one entry per column (3)"),
+        ("decision_tree", "left", lambda a: [2**40] + a[1:],
+         "a tree's left is not a list of int32 ids"),
+        ("decision_tree", "right", lambda a: a[:-1] + [None],
+         "a tree's right is not a list of int32 ids"),
     ], ids=["root-is-its-own-child", "feature-past-columns", "truncated-left",
-            "child-past-nodes", "short-svr-w"])
+            "child-past-nodes", "short-svr-w", "id-past-int32", "null-id"])
     def test_reject_state_predict_cannot_use(self, tmp_path, kind, key, edit, message):
         # before these checks, the first document loaded and then made
-        # predict loop forever, and the others raised inside predict
+        # predict loop forever, and the next three raised inside predict;
+        # the last two raised OverflowError (numpy 2) or wrapped the id
+        # with a DeprecationWarning (numpy 1.x), and TypeError
         rng = np.random.default_rng(8)
         model = train(kind, rng.normal(size=(40, 3)), rng.normal(size=40),
                       ModelParams(max_depth=3, min_samples_leaf=2, svr_iterations=50),
@@ -253,7 +260,8 @@ class TestSerializationFormat:
         assert kind == "svr" or state["feature"][0] >= 0  # the root splits
         state[key] = edit(state[key])
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(ValueError) as excinfo, warnings.catch_warnings():
+            warnings.simplefilter("error")
             load_model(path)
         assert str(excinfo.value) == f"invalid {kind} state in {path}: {message}"
 
