@@ -214,7 +214,7 @@ def parse_soil(
 
 
 _BLOCK = 1 << 20  # bytes read at a time from weather.csv
-_ROWS = 1 << 16  # parsed weather rows given their zone_id, or compared sorted, at a time
+_ROWS = 1 << 16  # sorted weather keys compared at a time
 
 # _MASK[k] keeps the first k bytes of a little-endian 8-byte word
 _MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
@@ -222,44 +222,37 @@ _SHORT = 15  # longest field text packed into two words beside its length
 
 
 def _weather_rows(path):
-    """The row loop: ``csv.reader`` rows parsed one by one into typed columns.
-    Returns the parsed table, each row's line, its zone code and the
-    (line, reason) of every row rejected on the way."""
-    entries: list[tuple[int, str]] = []
-    lines, codes, days, values = array("q"), array("q"), array("q"), array("d")
+    """The row loop: ``csv.reader`` rows parsed one by one into typed columns,
+    a table row per record. Returns the table, each row's zone code, the
+    zone ids by code and, by row, the reason of every row that does not
+    parse; such a row holds zeros."""
+    failed: dict[int, str] = {}
+    codes, days, values = array("q"), array("q"), array("d")
     zones: dict[str, int] = {}
     day_of: dict[str, int] = {}  # date text -> ordinal: each date recurs once per zone
-    for lineno, row in _open_rows(path, WEATHER_HEADER):
-        if len(row) != len(WEATHER_HEADER):
-            entries.append((lineno, f"expected {len(WEATHER_HEADER)} fields, got {len(row)}"))
-            continue
-        try:
-            day = day_of.get(row[1]) or day_of.setdefault(row[1], parse_date(row[1]).toordinal())
-            parsed = list(map(float, row[2:]))
-        except ValueError as exc:
-            entries.append((lineno, f"unparseable value: {exc}"))
-            continue
-        lines.append(lineno)
-        codes.append(zones.setdefault(row[0], len(zones)))
+    width, zeros = len(WEATHER_HEADER), [0.0] * len(WEATHER_FIELDS)
+    for _, row in _open_rows(path, WEATHER_HEADER):
+        code, day, parsed = 0, 0, zeros
+        if len(row) != width:
+            failed[len(codes)] = f"expected {width} fields, got {len(row)}"
+        else:
+            code = zones.setdefault(row[0], len(zones))
+            try:
+                day = day_of.get(row[1]) or day_of.setdefault(row[1], parse_date(row[1]).toordinal())
+                parsed = list(map(float, row[2:]))
+            except ValueError as exc:
+                failed[len(codes)] = f"unparseable value: {exc}"
+        codes.append(code)
         days.append(day)
         values.extend(parsed)
 
     # np.zeros, not np.empty, which sets the object field one row at a time (0.3 s)
-    table = np.zeros(len(lines), WEATHER_DTYPE)
-    zone_code = np.frombuffer(codes, np.int64)
-    _fill_zone_ids(table, zone_code, zones)
+    table = np.zeros(len(codes), WEATHER_DTYPE)
     table["day"] = days
     columns = np.frombuffer(values).reshape(-1, len(WEATHER_FIELDS)).T
     for name, column in zip(WEATHER_FIELDS, columns):
         table[name] = column
-    return table, np.frombuffer(lines, np.int64), zone_code, entries
-
-
-def _fill_zone_ids(table: np.ndarray, zone_code: np.ndarray, zones: dict[str, int]) -> None:
-    """Set each row's zone_id to the id of its code, ``_ROWS`` rows at a time."""
-    ids = np.array(list(zones), dtype=object)
-    for start in range(0, len(table), _ROWS):
-        table["zone_id"][start:start + _ROWS] = ids[zone_code[start:start + _ROWS]]
+    return table, np.frombuffer(codes, np.int64), list(zones), failed
 
 
 def _scan(path: Path) -> tuple[int, bool]:
@@ -350,32 +343,19 @@ def _distinct(windows: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
     return inverse, holder
 
 
-def _convert(texts: list[bytes], convert, encoding: str):
-    """``convert`` of each text as ``open()`` decodes it, with 0 for a text it
-    rejects, and the reason for each rejected text by its index."""
-    if convert is float:
-        try:  # float reads ASCII bytes as it reads their text; others fail
-            return list(map(float, texts)), {}
-        except ValueError:
-            pass
-    values, reasons = [], {}
-    for i, text in enumerate(texts):
-        try:
-            values.append(convert(text.decode(encoding)))
-        except ValueError as exc:
-            values.append(0)
-            reasons[i] = f"unparseable value: {exc}"
-    return values, reasons
-
-
-def _column(block: bytes, windows, starts, ends, convert, encoding: str):
-    """The value of each field of one column of a block, converted once per
-    distinct text (0 where it does not parse), and the reason each field
-    that does not parse gives, by field."""
+def _column(block: bytes, windows, starts, ends, convert):
+    """The value of each field of one column of a block, ``convert`` of its
+    bytes once per distinct text (0 where it raises ``ValueError``), and
+    the reason each field that does not parse gives, by field."""
     inverse, holder = _distinct(windows, starts, ends - starts)
-    texts = [block[i:j] for i, j in zip(starts[holder].tolist(), ends[holder].tolist())]
-    values, reasons = _convert(texts, convert, encoding)
-    bad = np.zeros(len(texts), bool)
+    values, reasons = [], {}
+    for i, j in zip(starts[holder].tolist(), ends[holder].tolist()):
+        try:
+            values.append(convert(block[i:j]))
+        except ValueError as exc:
+            reasons[len(values)] = f"unparseable value: {exc}"
+            values.append(0)
+    bad = np.zeros(len(values), bool)
     bad[list(reasons)] = True
     failed = {i: reasons[int(inverse[i])] for i in np.flatnonzero(bad[inverse]).tolist()}
     return np.array(values)[inverse], failed
@@ -388,15 +368,23 @@ def _weather_blocks(path: Path, bound: int):
     text of a block once."""
     encoding = locale.getpreferredencoding(False)  # what open() decodes with
     table = np.zeros(bound, WEATHER_DTYPE)  # np.zeros: see _weather_rows
-    lines = np.empty(bound, np.int64)
-    zone_code = np.empty(bound, np.int64)
+    zone_code = np.zeros(bound, np.int64)
     targets = [zone_code, table["day"], *(table[name] for name in WEATHER_FIELDS)]
     zones: dict[str, int] = {}
-    converters = [lambda text: zones.setdefault(text, len(zones)),
-                  lambda text: parse_date(text).toordinal()] + [float] * 5
+
+    def number(text: bytes) -> float:
+        # float reads ASCII bytes as it reads their text and fails on others,
+        # so only a text it fails on is decoded, for its value or its message
+        try:
+            return float(text)
+        except ValueError:
+            return float(text.decode(encoding))
+
+    converters = [lambda text: zones.setdefault(text.decode(encoding), len(zones)),
+                  lambda text: parse_date(text.decode(encoding)).toordinal()] + [number] * 5
     width = len(WEATHER_HEADER)
-    entries: list[tuple[int, str]] = []
-    n, lineno, header = 0, 2, None
+    failed: dict[int, str] = {}
+    n, header = 0, None
     for offset, block in _blocks(path):
         if not block.isascii():
             try:
@@ -410,44 +398,32 @@ def _weather_blocks(path: Path, bound: int):
             header = text.split(",") if text else []
             _check_header(path, header, WEATHER_HEADER)
             starts, ends = starts[1:], ends[1:]
-        line = np.arange(lineno, lineno + len(starts))
-        lineno += len(starts)
         commas = np.flatnonzero(a == 44)
         first_comma = np.searchsorted(commas, starts)
         fields = np.where(ends > starts, np.searchsorted(commas, ends) - first_comma + 1, 0)
         for i in np.flatnonzero(fields != width).tolist():
-            entries.append((int(line[i]), f"expected {width} fields, got {fields[i]}"))
+            failed[n + i] = f"expected {width} fields, got {fields[i]}"
         rows = np.flatnonzero(fields == width)
         first_comma = first_comma[rows]
         # the 8 bytes at every offset up to 8 past the end: a field starts
         # at the end at the latest, and its second word 8 bytes later
         padded = np.frombuffer(block + bytes(16), np.uint8)
         windows = np.lib.stride_tricks.as_strided(padded, (len(block) + 9, 8), (1, 1))
-        # each column goes straight into the table, below row n + len(rows)
-        # <= bound; the rows that do not parse are dropped after the last
-        failed: dict[int, str] = {}
+        # each column goes straight into the rows of the block's records;
+        # a record of the wrong width keeps its zeros
+        at = slice(n, n + len(rows)) if len(rows) == len(starts) else n + rows
         field_starts = starts[rows]
         for col, (convert, target) in enumerate(zip(converters, targets)):
             field_ends = commas[first_comma + col] if col < width - 1 else ends[rows]
-            target[n:n + len(rows)], reasons = _column(block, windows, field_starts,
-                                                       field_ends, convert, encoding)
+            target[at], reasons = _column(block, windows, field_starts, field_ends, convert)
             for i, reason in reasons.items():  # a row's first column that does not parse
-                failed.setdefault(i, reason)
+                failed.setdefault(n + int(rows[i]), reason)
             field_starts = field_ends + 1
-        lines[n:n + len(rows)] = line[rows]
-        if failed:
-            entries += [(int(line[rows[i]]), reason) for i, reason in failed.items()]
-            ok = np.ones(len(rows), bool)
-            ok[list(failed)] = False
-            for column in (lines, *targets):
-                column[n:n + len(rows) - len(failed)] = column[n:n + len(rows)][ok]
-        n += len(rows) - len(failed)
+        n += len(starts)
         del commas, padded, windows  # the largest arrays go before the next block is read
     if header is None:
         raise SchemaError(f"{path}: empty file, expected header")
-    table, zone_code = table[:n], zone_code[:n]
-    _fill_zone_ids(table, zone_code, zones)
-    return table, lines[:n], zone_code, entries
+    return table[:n], zone_code[:n], list(zones), failed
 
 
 def parse_weather(
@@ -458,17 +434,19 @@ def parse_weather(
 
     A file without a ``"`` is tokenized a block of bytes at a time, each
     distinct field text converted once; a file with one takes the
-    ``csv.reader`` row loop, which reads CSV quoting. The range checks and
-    the first-valid-wins (zone_id, date) duplicate search then run on whole
-    columns, beside the table: one key and one sort order.
+    ``csv.reader`` row loop, which reads CSV quoting. Either gives a table
+    row per record, so row i is line i + 2. Every rejection is then
+    decided here, on whole columns: a parse reason, else the range checks,
+    else the first-valid-wins (zone_id, date) duplicate search, which holds
+    one key and one sort order beside the table.
     """
     bound, quoted = _scan(Path(path))
     if quoted:
-        table, lines, key, entries = _weather_rows(path)
+        table, key, zones, rejected = _weather_rows(path)
     else:
-        table, lines, key, entries = _weather_blocks(Path(path), bound)
-    rejected = weather_rejections(table, ranges)
-    entries += [(int(lines[i]), str(bad)) for i, bad in rejected.items()]
+        table, key, zones, rejected = _weather_blocks(Path(path), bound)
+    for i, bad in weather_rejections(table, ranges).items():
+        rejected.setdefault(i, str(bad))
     # each row's zone code becomes, in place, its (zone, day) key with a low
     # bit set if the row is rejected: the stable sort puts each zone-day's
     # valid rows first, in file order, and its rejected rows after them
@@ -480,26 +458,26 @@ def parse_weather(
     # valid row's zone-day, and the first valid row of a zone-day has none.
     # The sorted keys are compared ``_ROWS`` at a time, each slice after the
     # first starting one row back
-    duplicates: list[int] = []
     for start in range(0, len(order), _ROWS):
         rows = order[max(start - 1, 0):start + _ROWS]
         sorted_key = key[rows]
         at = np.flatnonzero(sorted_key[1:] == sorted_key[:-1]) + 1
-        duplicates += rows[at[sorted_key[at] % 2 == 0]].tolist()
-    del key, order
-    for i in duplicates:
-        zone, day = table[i].item()[:2]
-        entries.append((int(lines[i]),
-                        f"duplicate weather for zone {zone} on {date.fromordinal(day)}"))
-    log = RejectionLog([LogEntry(str(path), line, reason) for line, reason in sorted(entries)])
+        for i in rows[at[sorted_key[at] % 2 == 0]].tolist():
+            rejected[i] = (f"duplicate weather for zone {zones[int(key[i]) >> 33]} "
+                           f"on {date.fromordinal(int(table['day'][i]))}")
+    del order
+    log = RejectionLog([LogEntry(str(path), i + 2, reason)
+                        for i, reason in sorted(rejected.items())])
     # keep the accepted rows in place, a column at a time: table[keep]
-    # would hold a second copy of the table at once
+    # would hold a second copy of the table at once; then give them their
+    # zone ids from their keys
     keep = np.ones(len(table), bool)
     keep[list(rejected)] = False
-    keep[duplicates] = False
     n = int(np.count_nonzero(keep))
-    for name in WEATHER_DTYPE.names:
-        table[name][:n] = table[name][keep]
+    for column in (key, *(table[name] for name in WEATHER_DTYPE.names[1:])):
+        column[:n] = column[keep]
+    key >>= 33
+    table["zone_id"][:n] = np.array(zones, dtype=object)[key[:n]]
     return table[:n], log
 
 

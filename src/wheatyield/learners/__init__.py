@@ -234,6 +234,8 @@ def load_model(path: str | Path) -> TrainedModel:
         raise ValueError(f"column_names in {path} is not a list of strings")
     estimator = ESTIMATORS[kind](params)
     try:
+        if not isinstance(doc["state"], dict):
+            raise ValueError("the state is not a JSON object")
         estimator.load_state(doc["state"], len(names))
     except KeyError as exc:
         raise ValueError(f"{kind} state in {path} has no key {exc}") from None

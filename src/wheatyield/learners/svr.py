@@ -76,10 +76,15 @@ class LinearSVR:
         }
 
     def load_state(self, state: dict, n_columns: int) -> None:
+        for name in ("w", "mu", "scale"):
+            if not isinstance(state[name], list) or not all(
+                    type(v) in (int, float) for v in state[name]):
+                raise ValueError(f"{name} is not a list of numbers")
+            if len(state[name]) != n_columns:
+                raise ValueError(f"{name} needs one entry per column ({n_columns})")
+        if type(state["b"]) not in (int, float):
+            raise ValueError("b is not a number")
         self.w = np.asarray(state["w"], dtype=np.float64)
         self.b = float(state["b"])
         self.mu = np.asarray(state["mu"], dtype=np.float64)
         self.scale = np.asarray(state["scale"], dtype=np.float64)
-        for name in ("w", "mu", "scale"):
-            if getattr(self, name).shape != (n_columns,):
-                raise ValueError(f"{name} needs one entry per column ({n_columns})")

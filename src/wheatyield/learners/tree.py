@@ -298,8 +298,13 @@ class TreeEnsemble:
         return {"base_value": self.base_value, "trees": [t.to_state() for t in self.trees]}
 
     def load_state(self, state: dict, n_columns: int) -> None:
+        if type(state["base_value"]) not in (int, float):
+            raise ValueError("base_value is not a number")
+        trees = state["trees"]
+        if not isinstance(trees, list) or not all(isinstance(s, dict) for s in trees):
+            raise ValueError("trees is not a list of JSON objects")
         self.base_value = float(state["base_value"])
-        self.trees = [TreeNodes.from_state(s, n_columns) for s in state["trees"]]
+        self.trees = [TreeNodes.from_state(s, n_columns) for s in trees]
         if self.averages and not self.trees:
             raise ValueError("a forest needs at least one tree")
 

@@ -490,6 +490,45 @@ def test_weather_copies_give_the_same_features(workdir, monkeypatch, copy):
         assert got == (workdir / "out" / f"{name}.csv").read_bytes(), name
 
 
+def _damaged(data: bytes) -> bytes:
+    """synth's CRLF weather.csv with a cell that does not parse (line 3), a
+    row of six fields (line 5), a value out of range (line 7) and a copy of
+    line 9 as line 10."""
+    lines = [line.split(b",") for line in data.split(b"\r\n")]
+    lines[2][2] = b"abc"
+    del lines[4][-1]
+    lines[6][-1] = b"100.5"
+    lines.insert(9, lines[8])
+    return b"\r\n".join(b",".join(cells) for cells in lines)
+
+
+@pytest.mark.parametrize("copy", ["lf", "cr", "quoted"])
+def test_damaged_weather_copies_give_the_same_rejections(workdir, monkeypatch, copy):
+    monkeypatch.setattr(ingest, "_BLOCK", 4096)
+    assert run_cli("synth", "--config", "run.ini").exit_code == 0
+    damaged = _damaged((workdir / "out" / "weather.csv").read_bytes())
+    # each input set at out/ of a directory of its own, so that the logs
+    # name the same source
+    with patch.object(ingest, "_weather_rows", wraps=ingest._weather_rows) as loop:
+        for name, data in (("original", damaged), (copy, WEATHER_COPIES[copy](damaged))):
+            (workdir / name / "out").mkdir(parents=True)
+            for csv_name in ("soil.csv", "crop.csv"):
+                shutil.copy(workdir / "out" / csv_name, workdir / name / "out")
+            (workdir / name / "out" / "weather.csv").write_bytes(data)
+            monkeypatch.chdir(workdir / name)
+            assert run_cli("ingest", "--config", "../run.ini").exit_code == 0
+    assert loop.called == (copy == "quoted")
+    with open(workdir / "original" / "out" / "rejections.csv", newline="") as fh:
+        logged = [row for row in csv.reader(fh) if row[0] == "out/weather.csv"]
+    starts = ["unparseable value: ", "expected 7 fields, got 6", "humidity=100.5: ",
+              "duplicate weather for zone "]
+    assert [int(line) for _, line, _ in logged] == [3, 5, 7, 10]
+    assert all(reason.startswith(start) for (*_, reason), start in zip(logged, starts))
+    for name in ("rejections", "weather_clean"):
+        got = (workdir / copy / "out" / f"{name}.csv").read_bytes()
+        assert got == (workdir / "original" / "out" / f"{name}.csv").read_bytes(), name
+
+
 IMPORTS_OF_COMMANDS = """\
 import json, sys
 before = set(sys.modules)

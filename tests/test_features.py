@@ -644,12 +644,12 @@ class TestMemory:
         _, _, path, n = default_scale
         (table, log), peak = traced_peak(lambda: parse_weather(path))
         assert len(table) == n and len(log) == 0
-        # while the blocks are read, each row's line and zone code (8 bytes
-        # each) and one block's scratch: the block, its padded copy, 8-byte
-        # offsets of its commas and rows, the values of one column; while
-        # duplicates are sought, the line, the (zone, day) key made in the
-        # zone code's place and the sort order (8 bytes a row each), with
-        # the sort's buffer and one slice of sorted keys in the block's share
+        # while the blocks are read, each row's zone code (8 bytes) and one
+        # block's scratch: the block, its padded copy, 8-byte offsets of its
+        # commas and rows, the values of one column; while duplicates are
+        # sought, the (zone, day) key made in the zone code's place and the
+        # sort order (8 bytes a row each), with the sort's buffer and one
+        # slice of sorted keys in the block's share
         assert peak < table.nbytes + 3 * 8 * n + 8 * ingest._BLOCK
 
     def test_build_instances_holds_one_key_and_one_order(self, default_scale):

@@ -245,6 +245,32 @@ LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
                ["Z1", "2012-10-02", "1", "2", "3", "4", "60"],
                ["Z1", "2012-10-02", "2", "2", "3", "4", "60"]],
           edits=[], ends=["\n"] * 27, final_end=True)
+# a column of a text float() reads only once decoded, one it does not read
+# at all and one it reads as bytes
+@example(rows=[["Z1", "2012-10-01", "abc", "9.3", "3", "4", "60"],
+               ["Z1", "2012-10-02", "\u0661", "9.3", "3", "4", "60"],
+               ["Z1", "2012-10-03", "2.5", "9.3", "3", "4", "60"]],
+          edits=[], ends=["\n"] * 27, final_end=True)
+# a row that does not parse, then a valid row of its zone-day (kept, and
+# not logged as a duplicate)
+@example(rows=[["Z1", "2012-10-01", "abc", "2", "3", "4", "60"],
+               ["Z1", "2012-10-01", "1", "2", "3", "4", "60"]],
+          edits=[], ends=["\n"] * 27, final_end=True)
+# rows of the wrong width, that do not parse and out of range ahead of a
+# duplicate pair, in a file read by the tokenizer and in one whose quoted
+# zone id sends it through the row loop
+@example(rows=[["Z1", "2012-10-01", "1", "2", "3", "4"],
+               ["Z1", "2012-10-02", "abc", "2", "3", "4", "60"],
+               ["Z1", "2012-10-03", "1", "2", "3", "4", "100.5"],
+               ["Z1", "2012-10-04", "1", "2", "3", "4", "60"],
+               ["Z1", "2012-10-04", "2", "2", "3", "4", "60"]],
+          edits=[], ends=["\n"] * 27, final_end=True)
+@example(rows=[["Z1", "2012-10-01", "1", "2", "3", "4"],
+               ["Z1", "2012-10-02", "abc", "2", "3", "4", "60"],
+               ["Z1", "2012-10-03", "1", "2", "3", "4", "100.5"],
+               ['"Z1"', "2012-10-04", "1", "2", "3", "4", "60"],
+               ["Z1", "2012-10-04", "2", "2", "3", "4", "60"]],
+          edits=[], ends=["\n"] * 27, final_end=True)
 @given(rows=st.lists(WEATHER_ROW, min_size=1, max_size=25), edits=st.lists(EDIT, max_size=12),
        ends=st.lists(LINE_ENDS, min_size=27, max_size=27), final_end=st.booleans())
 def test_parse_weather_matches_row_at_a_time_reference(rows, edits, ends, final_end):

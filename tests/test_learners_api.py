@@ -212,8 +212,26 @@ class TestSerializationFormat:
          "invalid random_forest state in {path}: a forest needs at least one tree"),
         ("extra_trees", {"base_value": 0.0, "trees": []},
          "invalid extra_trees state in {path}: a forest needs at least one tree"),
+        # each of these raised a bare TypeError, and a w of nulls loaded
+        # and failed only in predict
+        ("decision_tree", [], "invalid decision_tree state in {path}: the state is not a JSON object"),
+        ("decision_tree", None,
+         "invalid decision_tree state in {path}: the state is not a JSON object"),
+        ("decision_tree", {"base_value": None, "trees": []},
+         "invalid decision_tree state in {path}: base_value is not a number"),
+        ("decision_tree", {"base_value": 0.0, "trees": 5},
+         "invalid decision_tree state in {path}: trees is not a list of JSON objects"),
+        ("decision_tree", {"base_value": 0.0, "trees": [[-1]]},
+         "invalid decision_tree state in {path}: trees is not a list of JSON objects"),
+        ("svr", {"w": [1.0, 2.0], "b": None, "mu": [0.0, 0.0], "scale": [1.0, 1.0]},
+         "invalid svr state in {path}: b is not a number"),
+        ("svr", {"w": {"a": 1}, "b": 0.0, "mu": [0.0, 0.0], "scale": [1.0, 1.0]},
+         "invalid svr state in {path}: w is not a list of numbers"),
+        ("svr", {"w": [None, None], "b": 0.0, "mu": [0.0, 0.0], "scale": [1.0, 1.0]},
+         "invalid svr state in {path}: w is not a list of numbers"),
     ], ids=["missing-svr-key", "missing-base-value", "missing-node-key", "empty-forest",
-            "empty-extra-trees"])
+            "empty-extra-trees", "state-is-list", "state-is-null", "null-base-value",
+            "trees-not-list", "tree-is-list", "null-svr-b", "svr-w-object", "null-svr-w"])
     def test_reject_bad_state(self, tmp_path, kind, state, message):
         rng = np.random.default_rng(6)
         model = train(kind, rng.normal(size=(10, 2)), rng.normal(size=10),
