@@ -18,6 +18,7 @@ import click
 
 from . import evalstat, features, ingest, reporting, synthgen
 from .config import MODES, RunConfig, load_config
+from .features import MODE_SOIL, MODE_SOIL_WEATHER
 from .ingest import RejectionLog
 
 
@@ -75,13 +76,13 @@ def _ingest_all(cfg: RunConfig):
     return soil, weather, crops, RejectionLog(log_s.entries + log_w.entries + log_c.entries)
 
 
-def _build_instances(cfg: RunConfig, mode: str, out: Path):
-    """The instances and skipped zone-years of ``mode``; writes
-    ``rejections.csv`` and ``skipped_instances.csv`` under ``out``."""
+def _build_instances(cfg: RunConfig, modes: tuple[str, ...], out: Path):
+    """The instances and skipped zone-years that serve the feature ``modes``;
+    writes ``rejections.csv`` and ``skipped_instances.csv`` under ``out``."""
     soil, weather, crops, log = _ingest_all(cfg)
-    internal = "soil_weather" if mode in ("both", "soil_weather") else "soil_only"
+    mode = MODE_SOIL_WEATHER if MODE_SOIL_WEATHER in modes else MODE_SOIL
     instances, skipped = features.build_instances(
-        crops, soil, weather, internal, cfg.experiment.feature_params, cfg.ordinals
+        crops, soil, weather, mode, cfg.experiment.feature_params, cfg.ordinals
     )
     log.write_csv(out / "rejections.csv")
     _write_skipped(skipped, out)
@@ -132,11 +133,10 @@ def features_cmd(**kwargs) -> None:
     """Build instances and dump feature matrices as CSV."""
     cfg, out = _load(**kwargs)
     exp = cfg.experiment
-    instances, skipped = _build_instances(cfg, exp.mode, out)
-    wanted = ("soil_only", "soil_weather") if exp.mode == "both" else (exp.mode,)
-    for mode in wanted:
+    instances, skipped = _build_instances(cfg, exp.modes, out)
+    for mode in exp.modes:
         matrix = features.build_matrix(instances, mode, exp.feature_params)
-        name = "features_soil.csv" if mode == "soil_only" else "features_soil_weather.csv"
+        name = "features_soil.csv" if mode == MODE_SOIL else "features_soil_weather.csv"
         features.write_features_csv(matrix, out / name)
         click.echo(f"wrote {name}: {matrix.n_rows} rows x {matrix.n_cols} features")
     if skipped:
@@ -149,7 +149,7 @@ def evaluate(**kwargs) -> None:
     """Train the model suite and write report.csv, report.txt and
     mae_chart.svg."""
     cfg, out = _load(**kwargs)
-    instances, _ = _build_instances(cfg, cfg.experiment.mode, out)
+    instances, _ = _build_instances(cfg, cfg.experiment.modes, out)
     report = evalstat.run_experiment(instances, cfg.experiment)
     reporting.write_report_csv(report, out / "report.csv")
     reporting.write_report_txt(report, out / "report.txt")
@@ -162,8 +162,8 @@ def evaluate(**kwargs) -> None:
 def compare(**kwargs) -> None:
     """Paired soil vs. soil+weather comparison, appended to the report."""
     cfg, out = _load(**kwargs)
-    exp = replace(cfg.experiment, mode="both")
-    instances, _ = _build_instances(cfg, exp.mode, out)
+    exp = replace(cfg.experiment, modes=(MODE_SOIL, MODE_SOIL_WEATHER))
+    instances, _ = _build_instances(cfg, exp.modes, out)
     report = evalstat.run_experiment(instances, exp)
     reporting.append_compare_txt(report, out / "report.txt")
     (out / "compare.csv").write_text(reporting.compare_csv(report))

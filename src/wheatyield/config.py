@@ -20,13 +20,14 @@ from pathlib import Path
 
 from .domain import DEFAULT_ORDINAL_ORDERS, DEFAULT_RANGES, Bound, OrdinalSpec, ValidationRanges
 from .evalstat import ExperimentConfig
-from .features import DEFAULT_FEATURE_PARAMS, FeatureParams
+from .features import DEFAULT_FEATURE_PARAMS, MODE_SOIL, MODE_SOIL_WEATHER, FeatureParams
 from .learners import MODEL_KINDS, ModelParams
 from .synthgen import GenConfig, YearSpec
 
-MODES = ("soil", "soil_weather", "both")
-
-_MODE_TO_INTERNAL = {"soil": "soil_only", "soil_weather": "soil_weather", "both": "both"}
+# each [run] mode (and --mode) value -> the feature modes it runs
+_RUN_MODES = {"soil": (MODE_SOIL,), "soil_weather": (MODE_SOIL_WEATHER,),
+              "both": (MODE_SOIL, MODE_SOIL_WEATHER)}
+MODES = tuple(_RUN_MODES)
 
 
 class ConfigError(ValueError):
@@ -312,7 +313,7 @@ def load_config(
         train_start=_parse_opt("run", "train_start", run["train_start"], _parse_int),
         train_end=_parse_opt("run", "train_end", run["train_end"], _parse_int),
         seed=seed,
-        mode=_MODE_TO_INTERNAL[mode],
+        modes=_RUN_MODES[mode],
         paired_alternative=alternative,
         feature_params=feature_params,
         n_jobs=jobs,

@@ -1,11 +1,12 @@
 """Temporal evaluation protocol and significance statistics.
 
-The experiment trains every configured model twice (soil-only columns vs.
-soil+weather columns of the same instances), scores both with MAE on the
-held-out year, compares models within a mode by z-scores against the
-panel mean, and compares the two modes per model with a one-tailed paired
-t-test on absolute errors. The (model, mode) fits are independent, so
-they run on a pool of worker processes, one per usable core by default.
+The experiment trains every configured model once per configured feature
+mode (soil-only columns, soil+weather columns of the same instances, or
+both), scores each fit with MAE on the held-out year, compares models
+within a mode by z-scores against the panel mean, and, when both modes
+run, compares them per model with a one-tailed paired t-test on absolute
+errors. The (model, mode) fits are independent, so they run on a pool of
+worker processes, one per usable core by default.
 
 The normal CDF comes from math.erf; the Student-t upper tail is computed
 from the regularized incomplete beta function via its continued-fraction
@@ -28,6 +29,7 @@ from .features import (
     MODE_SOIL_WEATHER,
     DesignMatrix,
     build_matrix,
+    feature_names,
 )
 from .learners import ModelParams, predict, train_on_matrix
 
@@ -232,7 +234,9 @@ class Report:
 
 @dataclass
 class ExperimentConfig:
-    """Everything run_experiment needs besides the instances."""
+    """Everything run_experiment needs besides the instances; ``modes`` are
+    the feature modes to fit (``features.MODE_*``), widest first whatever
+    their order here."""
 
     models: list[str]
     model_params: dict[str, ModelParams]
@@ -240,7 +244,7 @@ class ExperimentConfig:
     train_start: int | None = 2013
     train_end: int | None = 2017
     seed: int = 0
-    mode: str = "both"  # soil_only | soil_weather | both
+    modes: tuple[str, ...] = (MODE_SOIL, MODE_SOIL_WEATHER)
     paired_alternative: str = B_LESS_THAN_A
     feature_params: FeatureParams = field(default_factory=lambda: DEFAULT_FEATURE_PARAMS)
     n_jobs: int = 0  # worker processes; 0 = one per usable core
@@ -286,72 +290,57 @@ def _fit_grid(tasks: list[tuple], n_jobs: int) -> list[np.ndarray]:
 
 
 def run_experiment(instances: DesignMatrix, cfg: ExperimentConfig) -> Report:
-    """Train every configured model per mode and assemble the report.
+    """Train every configured model in every configured mode and assemble
+    the report.
 
     Instances must carry weather columns when a weather mode is
     requested; soil-only matrices are cut from the same instances so the
-    paired comparison is over identical zone-years.
+    paired comparison is over identical zone-years. The widest mode is
+    fitted first, so its long fits start early. Each mode with two models
+    or more gets a z-panel; the paired test runs when both modes do.
     """
     if not cfg.models:
         raise ValueError("no models configured")
+    if not cfg.modes:
+        raise ValueError("no feature modes configured")
     train_insts, test_insts = temporal_split(
         instances, cfg.test_year, cfg.train_start, cfg.train_end
     )
-    want_soil = cfg.mode in ("both", MODE_SOIL)
-    want_sw = cfg.mode in ("both", MODE_SOIL_WEATHER)
-    if not (want_soil or want_sw):
-        raise ValueError(f"unknown mode: {cfg.mode!r}")
-
+    modes = sorted(cfg.modes, key=lambda mode: len(feature_names(mode, cfg.feature_params)),
+                   reverse=True)
     matrices = {
         mode: (
             build_matrix(train_insts, mode, cfg.feature_params),
             build_matrix(test_insts, mode, cfg.feature_params),
         )
-        for mode, wanted in ((MODE_SOIL, want_soil), (MODE_SOIL_WEATHER, want_sw))
-        if wanted
+        for mode in modes
     }
-
-    # the wide soil+weather fits first, so the long ones start early
-    modes = [m for m in (MODE_SOIL_WEATHER, MODE_SOIL) if m in matrices]
     grid = [(kind, mode) for mode in modes for kind in cfg.models]
     preds = _fit_grid(
         [(kind, cfg.model_params[kind], *matrices[mode]) for kind, mode in grid], cfg.n_jobs
     )
-    abs_errors: dict[str, dict[str, np.ndarray]] = {m: {} for m in cfg.models}
-    maes: dict[str, dict[str, float]] = {m: {} for m in cfg.models}
-    for (kind, mode), pred in zip(grid, preds):
-        err = np.abs(matrices[mode][1].target - pred)
-        abs_errors[kind][mode] = err
-        maes[kind][mode] = float(np.mean(err))
-
-    z_soil = z_sw = None
-    if want_soil and len(cfg.models) >= 2:
-        z_soil = zscore_panel({m: maes[m][MODE_SOIL] for m in cfg.models})
-    if want_sw and len(cfg.models) >= 2:
-        z_sw = zscore_panel({m: maes[m][MODE_SOIL_WEATHER] for m in cfg.models})
+    # every dict below is keyed by (kind, mode)
+    errors = {(kind, mode): np.abs(matrices[mode][1].target - pred)
+              for (kind, mode), pred in zip(grid, preds)}
+    maes = {cell: float(np.mean(err)) for cell, err in errors.items()}
+    z_scores: dict[tuple[str, str], tuple[float, float]] = {}
+    if len(cfg.models) >= 2:
+        for mode in modes:
+            panel = zscore_panel({kind: maes[kind, mode] for kind in cfg.models})
+            z_scores.update(((kind, mode), zp) for kind, zp in panel.items())
 
     rows: list[ReportRow] = []
     for kind in cfg.models:
         t_paired = p_paired = None
-        if want_soil and want_sw:
+        if MODE_SOIL in modes and MODE_SOIL_WEATHER in modes:
             t_paired, p_paired = paired_t_one_tailed(
-                abs_errors[kind][MODE_SOIL],
-                abs_errors[kind][MODE_SOIL_WEATHER],
-                cfg.paired_alternative,
+                errors[kind, MODE_SOIL], errors[kind, MODE_SOIL_WEATHER], cfg.paired_alternative
             )
-        rows.append(
-            ReportRow(
-                model=kind,
-                mae_soil=maes[kind].get(MODE_SOIL),
-                mae_sw=maes[kind].get(MODE_SOIL_WEATHER),
-                z_soil=z_soil[kind][0] if z_soil else None,
-                p_soil=z_soil[kind][1] if z_soil else None,
-                z_sw=z_sw[kind][0] if z_sw else None,
-                p_sw=z_sw[kind][1] if z_sw else None,
-                t_paired=t_paired,
-                p_paired=p_paired,
-            )
-        )
+        rows.append(ReportRow(
+            kind, maes.get((kind, MODE_SOIL)), maes.get((kind, MODE_SOIL_WEATHER)),
+            *z_scores.get((kind, MODE_SOIL), (None, None)),
+            *z_scores.get((kind, MODE_SOIL_WEATHER), (None, None)), t_paired, p_paired,
+        ))
     return Report(
         rows=rows,
         train_years=tuple(sorted({year for _, year in train_insts.meta})),

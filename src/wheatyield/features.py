@@ -233,7 +233,6 @@ class InstanceRejection:
     zone_id: str
     year: int
     reason: str
-    missing_weeks: tuple[int, ...] = ()
 
 
 @dataclass
@@ -360,14 +359,8 @@ def build_instances(
                 continue
             missing = tuple(w for w, ok in zip(window, present.tolist()) if not ok)
             if missing:
-                skipped.append(
-                    InstanceRejection(
-                        crop.zone_id,
-                        crop.year,
-                        f"missing weeks {list(missing)} in growth window",
-                        missing_weeks=missing,
-                    )
-                )
+                reason = f"missing weeks {list(missing)} in growth window"
+                skipped.append(InstanceRejection(crop.zone_id, crop.year, reason))
                 continue
             row[n_soil:] = weeks.ravel()
         row[:n_soil] = list(soil_feature_values(soil, ordinals).values())

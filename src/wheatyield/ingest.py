@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import locale
 import re
-from array import array
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -221,54 +220,42 @@ _MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 _SHORT = 15  # longest field text packed into two words beside its length
 
 
-def _weather_rows(path):
-    """The row loop: ``csv.reader`` rows parsed one by one into typed columns,
-    a table row per record. Returns the table, each row's zone code, the
+def _weather_rows(path: Path, table: np.ndarray, zone_code: np.ndarray):
+    """The row loop: ``csv.reader`` rows parsed one by one into ``table`` and
+    ``zone_code``, a row per record. Returns the number of records, the
     zone ids by code and, by row, the reason of every row that does not
-    parse; such a row holds zeros."""
+    parse; such a row keeps its zeros in ``table``."""
     failed: dict[int, str] = {}
-    codes, days, values = array("q"), array("q"), array("d")
     zones: dict[str, int] = {}
     day_of: dict[str, int] = {}  # date text -> ordinal: each date recurs once per zone
-    width, zeros = len(WEATHER_HEADER), [0.0] * len(WEATHER_FIELDS)
-    for _, row in _open_rows(path, WEATHER_HEADER):
-        code, day, parsed = 0, 0, zeros
+    width, i = len(WEATHER_HEADER), -1
+    for i, (_, row) in enumerate(_open_rows(path, WEATHER_HEADER)):
         if len(row) != width:
-            failed[len(codes)] = f"expected {width} fields, got {len(row)}"
-        else:
-            code = zones.setdefault(row[0], len(zones))
-            try:
-                day = day_of.get(row[1]) or day_of.setdefault(row[1], parse_date(row[1]).toordinal())
-                parsed = list(map(float, row[2:]))
-            except ValueError as exc:
-                failed[len(codes)] = f"unparseable value: {exc}"
-        codes.append(code)
-        days.append(day)
-        values.extend(parsed)
-
-    # np.zeros, not np.empty, which sets the object field one row at a time (0.3 s)
-    table = np.zeros(len(codes), WEATHER_DTYPE)
-    table["day"] = days
-    columns = np.frombuffer(values).reshape(-1, len(WEATHER_FIELDS)).T
-    for name, column in zip(WEATHER_FIELDS, columns):
-        table[name] = column
-    return table, np.frombuffer(codes, np.int64), list(zones), failed
+            failed[i] = f"expected {width} fields, got {len(row)}"
+            continue
+        zone_code[i] = zones.setdefault(row[0], len(zones))
+        try:
+            day = day_of.get(row[1]) or day_of.setdefault(row[1], parse_date(row[1]).toordinal())
+            table[i] = (0, day, *map(float, row[2:]))
+        except ValueError as exc:
+            failed[i] = f"unparseable value: {exc}"
+    return i + 1, list(zones), failed
 
 
 def _scan(path: Path) -> tuple[int, bool]:
-    """An upper bound on the number of records in ``path``, and whether it
-    holds a quote character."""
+    """An upper bound on the number of records in ``path``, its line ends
+    + 1 (a quoted field may hold line ends), and whether it holds a quote
+    character."""
     if not path.is_file():
         raise SchemaError(f"input file not found: {path}")
-    records = 1
+    records, quoted = 1, False
     with open(path, "rb") as fh:
         while chunk := fh.read(_BLOCK):
-            if b'"' in chunk:
-                return 0, True
+            quoted = quoted or b'"' in chunk
             records += chunk.count(b"\n")
             if b"\r" in chunk:  # a CRLF split between two chunks counts twice
                 records += chunk.count(b"\r") - chunk.count(b"\r\n")
-    return records, False
+    return records, quoted
 
 
 def _blocks(path: Path):
@@ -361,14 +348,11 @@ def _column(block: bytes, windows, starts, ends, convert):
     return np.array(values)[inverse], failed
 
 
-def _weather_blocks(path: Path, bound: int):
-    """:func:`_weather_rows`'s result from a byte tokenizer, for a file without
-    quotes, where every comma ends a field. It reads the file a block at a
-    time into a table of ``bound`` rows and converts each distinct field
-    text of a block once."""
+def _weather_blocks(path: Path, table: np.ndarray, zone_code: np.ndarray):
+    """:func:`_weather_rows` by a byte tokenizer, for a file without quotes,
+    where every comma ends a field. It reads the file a block at a time
+    and converts each distinct field text of a block once."""
     encoding = locale.getpreferredencoding(False)  # what open() decodes with
-    table = np.zeros(bound, WEATHER_DTYPE)  # np.zeros: see _weather_rows
-    zone_code = np.zeros(bound, np.int64)
     targets = [zone_code, table["day"], *(table[name] for name in WEATHER_FIELDS)]
     zones: dict[str, int] = {}
 
@@ -423,7 +407,7 @@ def _weather_blocks(path: Path, bound: int):
         del commas, padded, windows  # the largest arrays go before the next block is read
     if header is None:
         raise SchemaError(f"{path}: empty file, expected header")
-    return table[:n], zone_code[:n], list(zones), failed
+    return n, list(zones), failed
 
 
 def parse_weather(
@@ -434,17 +418,17 @@ def parse_weather(
 
     A file without a ``"`` is tokenized a block of bytes at a time, each
     distinct field text converted once; a file with one takes the
-    ``csv.reader`` row loop, which reads CSV quoting. Either gives a table
-    row per record, so row i is line i + 2. Every rejection is then
-    decided here, on whole columns: a parse reason, else the range checks,
-    else the first-valid-wins (zone_id, date) duplicate search, which holds
-    one key and one sort order beside the table.
+    ``csv.reader`` row loop, which reads CSV quoting. Either fills the one
+    table allocated here, a row per record, so row i is line i + 2. Every
+    rejection is then decided here, on whole columns: a parse reason, else
+    the range checks, else the first-valid-wins (zone_id, date) duplicate
+    search, which holds one key and one sort order beside the table.
     """
     bound, quoted = _scan(Path(path))
-    if quoted:
-        table, key, zones, rejected = _weather_rows(path)
-    else:
-        table, key, zones, rejected = _weather_blocks(Path(path), bound)
+    # np.zeros, not np.empty, which sets the object field one row at a time (0.3 s)
+    table, key = np.zeros(bound, WEATHER_DTYPE), np.zeros(bound, np.int64)
+    n, zones, rejected = (_weather_rows if quoted else _weather_blocks)(Path(path), table, key)
+    table, key = table[:n], key[:n]
     for i, bad in weather_rejections(table, ranges).items():
         rejected.setdefault(i, str(bad))
     # each row's zone code becomes, in place, its (zone, day) key with a low

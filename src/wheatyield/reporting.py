@@ -138,37 +138,28 @@ def mae_chart_svg(report: Report, title: str = "MAE by model and feature mode") 
             f'<line x1="{margin_left - 4}" y1="{y:.1f}" x2="{margin_left}" y2="{y:.1f}" '
             f'stroke="black"/>'
         )
+    soil_fill, sw_fill = "#8c6d31", "#31708c"
     for i, r in enumerate(rows):
         cx = margin_left + group_w * (i + 0.5)
-        if r.mae_soil is not None:
-            y, h = ybar(r.mae_soil)
-            parts.append(
-                f'<rect x="{cx - bar_w:.1f}" y="{y:.1f}" width="{bar_w:.1f}" '
-                f'height="{h:.1f}" fill="#8c6d31"/>'
-            )
-        if r.mae_sw is not None:
-            y, h = ybar(r.mae_sw)
-            parts.append(
-                f'<rect x="{cx:.1f}" y="{y:.1f}" width="{bar_w:.1f}" height="{h:.1f}" '
-                f'fill="#31708c"/>'
-            )
+        for value, x, fill in ((r.mae_soil, cx - bar_w, soil_fill), (r.mae_sw, cx, sw_fill)):
+            if value is not None:
+                y, h = ybar(value)
+                parts.append(
+                    f'<rect x="{x:.1f}" y="{y:.1f}" width="{bar_w:.1f}" height="{h:.1f}" '
+                    f'fill="{fill}"/>'
+                )
         parts.append(
             f'<text x="{cx:.1f}" y="{height - margin_bottom + 14}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10" '
             f'transform="rotate(18 {cx:.1f} {height - margin_bottom + 14})">{r.model}</text>'
         )
     legend_y = height - 22
-    parts.extend(
-        [
-            f'<rect x="{margin_left}" y="{legend_y - 10}" width="12" height="12" fill="#8c6d31"/>',
-            f'<text x="{margin_left + 16}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="11">soil only</text>',
-            f'<rect x="{margin_left + 100}" y="{legend_y - 10}" width="12" height="12" fill="#31708c"/>',
-            f'<text x="{margin_left + 116}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="11">soil + weather</text>',
-            "</svg>",
-        ]
-    )
+    for x, fill, label in ((margin_left, soil_fill, "soil only"),
+                           (margin_left + 100, sw_fill, "soil + weather")):
+        parts.append(f'<rect x="{x}" y="{legend_y - 10}" width="12" height="12" fill="{fill}"/>')
+        parts.append(f'<text x="{x + 16}" y="{legend_y}" font-family="sans-serif" '
+                     f'font-size="11">{label}</text>')
+    parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 

@@ -389,7 +389,7 @@ def generate_records(
 
     zone_years = [(zone, year) for year in sorted(cfg.years) for zone in rosters[year]]
     n, weeks = DAYS_PER_SEASON, feature_params.weeks()
-    weather = np.zeros(len(zone_years) * n, WEATHER_DTYPE)  # np.zeros: see ingest._weather_rows
+    weather = np.zeros(len(zone_years) * n, WEATHER_DTYPE)  # np.zeros: see ingest.parse_weather
     dd = np.zeros((len(zone_years), len(weeks)))
     ap = np.zeros_like(dd)
     complete = np.zeros(dd.shape, bool)

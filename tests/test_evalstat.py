@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wheatyield import evalstat
 from wheatyield.evalstat import (
     ExperimentConfig,
     incomplete_beta,
@@ -269,14 +270,34 @@ class TestRunExperiment:
         assert a == b
 
     def test_soil_only_mode_skips_paired(self):
-        report = run_experiment(self.small_instances(), self.config(mode="soil_only"))
+        report = run_experiment(self.small_instances(), self.config(modes=("soil_only",)))
         row = report.rows[0]
         assert row.mae_soil is not None
         assert row.mae_sw is None and row.p_paired is None
 
     def test_unknown_mode_is_error(self):
         with pytest.raises(ValueError, match="mode"):
-            run_experiment(self.small_instances(), self.config(mode="bogus"))
+            run_experiment(self.small_instances(), self.config(modes=("bogus",)))
+
+    def test_empty_mode_list_is_error(self):
+        with pytest.raises(ValueError, match="modes"):
+            run_experiment(self.small_instances(), self.config(modes=()))
+
+    def test_widest_mode_fits_first_whatever_the_order(self, monkeypatch):
+        widths = []
+        fit_grid = evalstat._fit_grid
+
+        def recording(tasks, n_jobs):
+            widths.append([train.n_cols for _, _, train, _ in tasks])
+            return fit_grid(tasks, n_jobs)
+
+        monkeypatch.setattr(evalstat, "_fit_grid", recording)
+        orders = [("soil_only", MODE_SOIL_WEATHER), (MODE_SOIL_WEATHER, "soil_only")]
+        reports = [run_experiment(self.small_instances(), self.config(modes=modes))
+                   for modes in orders]
+        assert reports[0] == reports[1]
+        assert widths[0] == widths[1] == sorted(widths[0], reverse=True)
+        assert widths[0][0] > widths[0][-1]
 
     def test_empty_model_list_is_error(self):
         with pytest.raises(ValueError, match="models"):
@@ -311,7 +332,7 @@ class TestRunExperiment:
         wide = run_experiment(self.small_instances(), self.config(n_jobs=10_000))
         assert widths == [2 * 2]  # two models x two modes
         assert wide == serial
-        run_experiment(self.small_instances(), self.config(n_jobs=10_000, mode="soil_only"))
+        run_experiment(self.small_instances(), self.config(n_jobs=10_000, modes=("soil_only",)))
         assert widths == [4, 2]
 
     def test_mae_equals_mean_abs_error_of_paired_path(self):

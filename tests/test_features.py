@@ -30,6 +30,7 @@ from wheatyield.features import (
 from wheatyield import ingest
 from wheatyield.ingest import carry_forward_soil, parse_weather, write_weather_csv
 from wheatyield.synthgen import GenConfig, generate_records
+from test_cli import _quoted
 
 
 def day(d: date, t_max=10.0, t_min=2.0, precip=1.0, solar=5.0, humidity=80.0, zone="Z1"):
@@ -245,8 +246,7 @@ class TestBuildInstance:
         assert len(instances) == 0
         got = skipped[0]
         assert isinstance(got, InstanceRejection)
-        assert got.missing_weeks == (40,)
-        assert "40" in got.reason
+        assert got.reason == "missing weeks [40] in growth window"
 
     def test_ordinals_encoded(self):
         instances, _ = build_instances(
@@ -350,7 +350,7 @@ class TestBuildInstancesPipeline:
     def test_incomplete_final_week_skipped(self):
         instances, skipped = self.they(279)
         assert len(instances) == 0
-        assert len(skipped) == 1 and skipped[0].missing_weeks == (40,)
+        assert [s.reason for s in skipped] == ["missing weeks [40] in growth window"]
 
     def test_min_days_override_accepts_partial_week(self):
         instances, skipped = self.they(279, min_days=6)
@@ -502,7 +502,7 @@ def reference_instances(crops, soils, weather, params):
         missing = tuple(w for w in params.weeks() if w not in weeks)
         if missing:
             reason = f"missing weeks {list(missing)} in growth window"
-            skipped.append(InstanceRejection(crop.zone_id, crop.year, reason, missing))
+            skipped.append(InstanceRejection(crop.zone_id, crop.year, reason))
             continue
         weekly = [
             v
@@ -604,7 +604,7 @@ class TestBatchedWindows:
         weather = self.season_with({8: 1e308, 9: 1e308}, missing=(10,))
         params = FeatureParams(week_start=1, week_end=3)
         skipped = self.assert_same([crop_record()], [soil_record()], weather, params)
-        assert [s.missing_weeks for s in skipped] == [(2,)]
+        assert [s.reason for s in skipped] == ["missing weeks [2] in growth window"]
 
     def test_eight_rows_in_one_week_is_error(self):
         weather = self.season_with({})
@@ -640,16 +640,22 @@ class TestMemory:
     at once, with the parts that do not grow with the table bounded by a
     multiple of the block or by what the table-sized parts leave."""
 
-    def test_parse_weather_holds_the_table_three_row_columns_and_one_block(self, default_scale):
+    @pytest.mark.parametrize("copy", ["tokenizer", "quoted"])
+    def test_parse_weather_holds_the_table_three_row_columns_and_one_block(
+            self, default_scale, tmp_path, copy):
         _, _, path, n = default_scale
+        if copy == "quoted":  # the csv.reader row loop fills the same table
+            (tmp_path / "weather.csv").write_bytes(_quoted(path.read_bytes()))
+            path = tmp_path / "weather.csv"
         (table, log), peak = traced_peak(lambda: parse_weather(path))
         assert len(table) == n and len(log) == 0
-        # while the blocks are read, each row's zone code (8 bytes) and one
+        # while the file is read, each row's zone code (8 bytes) and one
         # block's scratch: the block, its padded copy, 8-byte offsets of its
-        # commas and rows, the values of one column; while duplicates are
-        # sought, the (zone, day) key made in the zone code's place and the
-        # sort order (8 bytes a row each), with the sort's buffer and one
-        # slice of sorted keys in the block's share
+        # commas and rows, the values of one column (the row loop holds one
+        # row at a time); while duplicates are sought, the (zone, day) key
+        # made in the zone code's place and the sort order (8 bytes a row
+        # each), with the sort's buffer and one slice of sorted keys in the
+        # block's share
         assert peak < table.nbytes + 3 * 8 * n + 8 * ingest._BLOCK
 
     def test_build_instances_holds_one_key_and_one_order(self, default_scale):
