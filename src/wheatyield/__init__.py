@@ -8,7 +8,7 @@ Library layout:
     evalstat  temporal split, MAE, z-score panel, paired t-test
     synthgen  calibrated synthetic dataset generator
     config    declarative run configuration
-    cli       command-line pipeline (synth | ingest | features | evaluate | compare)
+    cli       command-line pipeline (synth | ingest | features | evaluate)
 """
 
 __version__ = "0.1.0"

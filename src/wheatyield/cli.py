@@ -1,9 +1,9 @@
 """Command-line surface for the pipeline.
 
-Commands: synth | ingest | features | evaluate | compare. Every command
-reads the same declarative config (see README for the full key table),
-applies flag overrides, writes its outputs under the configured output
-directory, and is idempotent for a fixed config and seed. A ``ValueError``
+Commands: synth | ingest | features | evaluate. Every command reads the
+same declarative config (see README for the full key table), applies flag
+overrides, writes its outputs under the configured output directory, and
+is idempotent for a fixed config and seed. A ``ValueError``
 or ``OSError`` from any command, bad input and bad config included, ends the
 run with one ``Error:`` line and exit status 1, not a traceback.
 """
@@ -11,7 +11,6 @@ run with one ``Error:`` line and exit status 1, not a traceback.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -76,11 +75,11 @@ def _ingest_all(cfg: RunConfig):
     return soil, weather, crops, RejectionLog(log_s.entries + log_w.entries + log_c.entries)
 
 
-def _build_instances(cfg: RunConfig, modes: tuple[str, ...], out: Path):
-    """The instances and skipped zone-years that serve the feature ``modes``;
+def _build_instances(cfg: RunConfig, out: Path):
+    """The instances and skipped zone-years for the configured feature modes;
     writes ``rejections.csv`` and ``skipped_instances.csv`` under ``out``."""
     soil, weather, crops, log = _ingest_all(cfg)
-    mode = MODE_SOIL_WEATHER if MODE_SOIL_WEATHER in modes else MODE_SOIL
+    mode = MODE_SOIL_WEATHER if MODE_SOIL_WEATHER in cfg.experiment.modes else MODE_SOIL
     instances, skipped = features.build_instances(
         crops, soil, weather, mode, cfg.experiment.feature_params, cfg.ordinals
     )
@@ -133,7 +132,7 @@ def features_cmd(**kwargs) -> None:
     """Build instances and dump feature matrices as CSV."""
     cfg, out = _load(**kwargs)
     exp = cfg.experiment
-    instances, skipped = _build_instances(cfg, exp.modes, out)
+    instances, skipped = _build_instances(cfg, out)
     for mode in exp.modes:
         matrix = features.build_matrix(instances, mode, exp.feature_params)
         name = "features_soil.csv" if mode == MODE_SOIL else "features_soil_weather.csv"
@@ -146,28 +145,17 @@ def features_cmd(**kwargs) -> None:
 @main.command()
 @_common_options
 def evaluate(**kwargs) -> None:
-    """Train the model suite and write report.csv, report.txt and
-    mae_chart.svg."""
+    """Train the model suite; write report.csv, report.txt, mae_chart.svg and,
+    when both feature modes ran, compare.csv and report.txt's paired section."""
     cfg, out = _load(**kwargs)
-    instances, _ = _build_instances(cfg, cfg.experiment.modes, out)
+    instances, _ = _build_instances(cfg, out)
     report = evalstat.run_experiment(instances, cfg.experiment)
     reporting.write_report_csv(report, out / "report.csv")
     reporting.write_report_txt(report, out / "report.txt")
     reporting.write_mae_chart_svg(report, out / "mae_chart.svg")
-    click.echo(reporting.report_text(report).rstrip())
-
-
-@main.command()
-@_common_options
-def compare(**kwargs) -> None:
-    """Paired soil vs. soil+weather comparison, appended to the report."""
-    cfg, out = _load(**kwargs)
-    exp = replace(cfg.experiment, modes=(MODE_SOIL, MODE_SOIL_WEATHER))
-    instances, _ = _build_instances(cfg, exp.modes, out)
-    report = evalstat.run_experiment(instances, exp)
-    reporting.append_compare_txt(report, out / "report.txt")
-    (out / "compare.csv").write_text(reporting.compare_csv(report))
-    click.echo(reporting.compare_text(report).rstrip())
+    if reporting.paired(report):
+        (out / "compare.csv").write_text(reporting.compare_csv(report))
+    click.echo(reporting.full_text(report).rstrip())
 
 
 if __name__ == "__main__":

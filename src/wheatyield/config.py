@@ -201,13 +201,13 @@ def _merged_mapping(path: str | Path | None, overrides: dict[str, str]) -> dict[
 
 
 def _digest(merged: dict[str, dict[str, str]]) -> str:
-    # jobs controls parallelism width only, never results, so it stays out
-    # of the digest and reports are byte-identical across widths
+    # jobs (parallelism width) and out (output directory) never change a result, so
+    # reports are byte-identical across widths and output directories
     canon = "\n".join(
         f"{section}.{key}={merged[section][key]}"
         for section in sorted(merged)
         for key in sorted(merged[section])
-        if (section, key) != ("run", "jobs")
+        if (section, key) not in (("run", "jobs"), ("paths", "out"))
     )
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 

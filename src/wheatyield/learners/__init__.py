@@ -11,6 +11,7 @@ identically because JSON floats round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -171,7 +172,8 @@ def predict(
     if X.ndim != 2 or X.shape[1] != len(model.column_names):
         got = X.shape[1] if X.ndim == 2 else f"ndim={X.ndim}"
         raise ValueError(f"expected {len(model.column_names)} feature columns, got {got}")
-    out = np.asarray(model.estimator.predict(X), dtype=np.float64)
+    with np.errstate(all="ignore"):  # an overflow is refused just below
+        out = np.asarray(model.estimator.predict(X), dtype=np.float64)
     if out.size and not np.isfinite(out).all():
         raise ValueError("model produced non-finite predictions")
     return out
@@ -204,17 +206,25 @@ def _json_fits(value, annotation: str) -> bool:
 
 def load_model(path: str | Path) -> TrainedModel:
     """Inverse of :func:`save_model`; the loaded model predicts identically."""
+
+    def finite(text: str, cast=float):
+        # json reads NaN, Infinity, -Infinity, 1e999 as inf, and ints no float holds
+        if not math.isfinite(float(text)):
+            raise ValueError(f"non-finite number {text} in {path}")
+        return cast(text)
+
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_float=finite, parse_constant=finite,
+                        parse_int=lambda text: finite(text, int))
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
     if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
+        raise ValueError(f"model document {path} has unsupported model version {doc.get('version')!r}")
     for key in ("kind", "params", "column_names", "state"):
         if key not in doc:
             raise ValueError(f"model document {path} has no key {key!r}")
     kind = doc["kind"]
-    if kind not in ESTIMATORS:
+    if kind not in MODEL_KINDS:  # a tuple, so an unhashable kind is refused here too
         raise ValueError(f"unknown model kind {kind!r} in {path}")
     if not isinstance(doc["params"], dict):
         raise ValueError(f"model parameters in {path} are not a JSON object")

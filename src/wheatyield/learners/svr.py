@@ -84,6 +84,8 @@ class LinearSVR:
                 raise ValueError(f"{name} needs one entry per column ({n_columns})")
         if type(state["b"]) not in (int, float):
             raise ValueError("b is not a number")
+        if not all(v > 0 for v in state["scale"]):
+            raise ValueError("a scale entry is not > 0")
         self.w = np.asarray(state["w"], dtype=np.float64)
         self.b = float(state["b"])
         self.mu = np.asarray(state["mu"], dtype=np.float64)

@@ -56,10 +56,6 @@ def report_text(report: Report) -> str:
     return "\n".join(meta) + "\n\n" + _table(REPORT_CSV_HEADER.split(","), rows) + "\n"
 
 
-def write_report_txt(report: Report, path: str | Path) -> None:
-    Path(path).write_text(report_text(report))
-
-
 def compare_text(report: Report) -> str:
     """Paired-comparison section: per model, both MAEs and the paired p."""
     header = ["model", "mae_soil", "mae_soil_weather", "better", "p_paired"]
@@ -85,18 +81,21 @@ def compare_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-COMPARE_MARKER = "## paired comparison"
+def paired(report: Report) -> bool:
+    """Whether both feature modes ran, so the report holds the paired test."""
+    return all(r.p_paired is not None for r in report.rows)
 
 
-def append_compare_txt(report: Report, path: str | Path) -> None:
-    """Append (or replace) the paired-comparison section, idempotently."""
-    path = Path(path)
-    prefix = ""
-    if path.exists():
-        prefix = path.read_text().split(COMPARE_MARKER)[0]
-        if prefix and not prefix.endswith("\n\n"):
-            prefix = prefix.rstrip("\n") + "\n\n"
-    path.write_text(prefix + compare_text(report))
+def full_text(report: Report) -> str:
+    """All of ``report.txt``: the report, then the paired section if both modes ran."""
+    text = report_text(report)
+    if paired(report):
+        text = text.rstrip("\n") + "\n\n" + compare_text(report)
+    return text
+
+
+def write_report_txt(report: Report, path: str | Path) -> None:
+    Path(path).write_text(full_text(report))
 
 
 def mae_chart_svg(report: Report, title: str = "MAE by model and feature mode") -> str:

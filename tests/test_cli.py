@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from wheatyield import ingest
+from wheatyield import evalstat, ingest
 from wheatyield.cli import main
 from wheatyield.config import _DEFAULTS, ConfigError, load_config
 from wheatyield.learners import ModelParams
@@ -174,7 +174,7 @@ class TestConfig:
     def test_default_digest_is_pinned(self):
         # the digest is printed in report.txt, so the default text of every
         # key is part of the report bytes
-        assert load_config().experiment.config_digest == "4602d966a86e0f6d"
+        assert load_config().experiment.config_digest == "cd306ed50bae5b81"
 
     def test_every_default_text_reloads_to_the_defaults(self):
         base = load_config()
@@ -205,7 +205,7 @@ class TestCliPipeline:
     def test_help_lists_commands_and_flags(self):
         result = run_cli("--help")
         assert result.exit_code == 0
-        for cmd in ("synth", "ingest", "features", "evaluate", "compare"):
+        for cmd in ("synth", "ingest", "features", "evaluate"):
             assert cmd in result.output
         result = run_cli("evaluate", "--help")
         for flag in ("--config", "--seed", "--out", "--mode", "--test-year"):
@@ -354,7 +354,7 @@ class TestCliPipeline:
         assert result.stderr == f"Error: {expected}\n"
         assert "Traceback" not in result.output
 
-    @pytest.mark.parametrize("command", ["synth", "ingest", "features", "evaluate", "compare"])
+    @pytest.mark.parametrize("command", ["synth", "ingest", "features", "evaluate"])
     def test_output_path_that_is_a_file_is_one_line_diagnostic(self, workdir, command):
         (workdir / "taken").write_text("")
         result = CliRunner().invoke(main, [command, "--config", "run.ini", "--out", "taken"])
@@ -391,16 +391,31 @@ class TestCliPipeline:
         run_cli("evaluate", "--config", "run.ini")
         assert (workdir / "out" / "report.csv").read_bytes() == first
 
-    def test_compare_appends_section(self, workdir):
+    def test_evaluate_writes_paired_section(self, workdir):
         run_cli("synth", "--config", "run.ini")
-        run_cli("evaluate", "--config", "run.ini")
-        result = run_cli("compare", "--config", "run.ini")
+        result = run_cli("evaluate", "--config", "run.ini")
         assert result.exit_code == 0
         text = (workdir / "out" / "report.txt").read_text()
         assert any(line.startswith("## paired comparison") for line in text.splitlines())
+        assert result.output == text.rstrip() + "\n"
         compare = (workdir / "out" / "compare.csv").read_text().splitlines()
         assert compare[0] == "model,mae_soil,mae_sw,p_paired"
         assert len(compare) == 3
+
+    def test_one_mode_writes_no_paired_section(self, workdir):
+        run_cli("synth", "--config", "run.ini")
+        result = run_cli("evaluate", "--config", "run.ini", "--mode", "soil")
+        assert result.exit_code == 0
+        assert "## paired comparison" not in (workdir / "out" / "report.txt").read_text()
+        assert "## paired comparison" not in result.output
+        assert not (workdir / "out" / "compare.csv").exists()
+
+    def test_report_txt_is_the_same_in_any_output_directory(self, workdir):
+        run_cli("synth", "--config", "run.ini")
+        for out in ("a", "b/c"):
+            assert run_cli("evaluate", "--config", "run.ini", "--out", out).exit_code == 0
+        assert (workdir / "a" / "report.txt").read_bytes() == \
+            (workdir / "b" / "c" / "report.txt").read_bytes()
 
     def test_missing_input_fails_cleanly(self, workdir):
         result = CliRunner().invoke(main, ["evaluate", "--config", "run.ini"])
@@ -560,24 +575,68 @@ def _pinned_input(data: bytes) -> bytes:
     return _damaged(b"\r\n".join(lines))
 
 
-def test_learner_free_outputs_keep_their_bytes(workdir):
+def _synth_pinned_input() -> None:
     assert run_cli("synth", "--config", "run.ini").exit_code == 0
-    weather = workdir / "out" / "weather.csv"
+    weather = Path("out") / "weather.csv"
     weather.write_bytes(_pinned_input(weather.read_bytes()))
+
+
+def _digests(names) -> dict[str, str]:
+    return {name: hashlib.sha256((Path("out") / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_learner_free_outputs_keep_their_bytes(workdir):
+    _synth_pinned_input()
     for command in ("ingest", "features"):
         assert run_cli(command, "--config", "run.ini").exit_code == 0
     skipped = (workdir / "out" / "skipped_instances.csv").read_text().splitlines()[1:]
     assert len(skipped) >= 2
-    got = {name: hashlib.sha256((workdir / "out" / name).read_bytes()).hexdigest()
-           for name in LEARNER_FREE_DIGESTS}
-    assert got == LEARNER_FREE_DIGESTS
+    assert _digests(LEARNER_FREE_DIGESTS) == LEARNER_FREE_DIGESTS
+
+
+# sha256 of evaluate's outputs on the same input, and of its test-year
+# predictions in fit order, since the report's 6 significant digits hide a
+# change in the last bits. TINY_CONFIG fits only decision_tree and
+# random_forest, and neither calls BLAS, so these bytes are the same on
+# every CPU. The same rule holds as above
+PREDICTIONS_DIGEST = "324b3a4bb9d13268d4ad8810b1fd5b99b108796bd4edb4eac7a2216c9318a9aa"
+REPORT_DIGESTS = {
+    "report.csv":
+        "eb8c8a32fa1d68e8688208e2c9bf6221e6817b0096a46f02409c73e7376e6cea",
+    "report.txt":
+        "f792342f0558f0bd271d41c117c47b20475dbf4e3f294a60f4a234e82a1982f4",
+    "compare.csv":
+        "1cb30a5e7f533105f905d157573ad726550fc978f6595e1e6d64b3ac227383d1",
+    "mae_chart.svg":
+        "01f0be1eb7d9bb97e7663f3e291d06848e2b01ef1ceed0cda173f3ccf5d45458",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_reports_keep_their_bytes(workdir, monkeypatch, jobs):
+    predictions = []
+    fit_grid = evalstat._fit_grid
+
+    def recorded(*args):
+        predictions.extend(fit_grid(*args))
+        return predictions
+
+    monkeypatch.setattr(evalstat, "_fit_grid", recorded)
+    _synth_pinned_input()
+    assert run_cli("evaluate", "--config", "run.ini", "--jobs", jobs).exit_code == 0
+    assert "## paired comparison" in (workdir / "out" / "report.txt").read_text()
+    assert _digests(REPORT_DIGESTS) == REPORT_DIGESTS
+    assert len(predictions) == 4
+    got = hashlib.sha256(b"".join(p.astype("<f8").tobytes() for p in predictions))
+    assert got.hexdigest() == PREDICTIONS_DIGEST
 
 
 IMPORTS_OF_COMMANDS = """\
 import json, sys
 before = set(sys.modules)
 from wheatyield.cli import main
-for command in ("synth", "ingest", "features", "evaluate", "compare"):
+for command in ("synth", "ingest", "features", "evaluate"):
     main([command, "--config", "run.ini", "--jobs", "1"], standalone_mode=False)
 # the import system gives every module it loads a __spec__; numpy's Cython
 # extensions register modules of their own without one (cython_runtime, ...)

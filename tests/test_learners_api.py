@@ -1,10 +1,16 @@
+import copy
 import json
+import math
 import pickle
+import sys
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wheatyield.features import MODE_SOIL_WEATHER, DesignMatrix, build_matrix, feature_names
 from wheatyield.learners import (
@@ -350,3 +356,74 @@ class TestSerializationFormat:
             unfitted.predict(X)
         with pytest.raises(RuntimeError, match="not fitted"):
             unfitted.to_state()
+
+
+def _fields(node, path=()):
+    """The path of every value below ``node`` in a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+def _saved_documents() -> dict[str, dict]:
+    """The saved document of one small 3-column model of each kind."""
+    rng = np.random.default_rng(8)
+    X, y = rng.normal(size=(40, 3)), rng.normal(size=40)
+    params = ModelParams(n_estimators=2, max_depth=3, min_samples_leaf=2,
+                         svr_iterations=50, seed=2)
+    docs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in MODEL_KINDS:
+            path = Path(tmp) / f"{kind}.json"
+            save_model(train(kind, X, y, params, ["a", "b", "c"]), path)
+            docs[kind] = json.loads(path.read_text())
+    return docs
+
+
+SAVED_DOCUMENTS = _saved_documents()
+EDIT_SITES = [(kind, path) for kind, doc in SAVED_DOCUMENTS.items() for path in _fields(doc)]
+EDIT_VALUES = [None, True, False, 0, -1, 2**40, 10**400, 1.5, math.nan, math.inf, -math.inf,
+               1e308, "x", [], {}, [1], [None]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(site=st.sampled_from(EDIT_SITES), value=st.sampled_from(EDIT_VALUES))
+# each failed once: the first two loaded and made predict warn (divide by
+# zero, overflow), the third loaded, a list kind raised TypeError, and an
+# int beyond any float raised OverflowError
+@example(site=("svr", ("state", "scale", 0)), value=0)
+@example(site=("svr", ("state", "w", 0)), value=1e308)
+@example(site=("random_forest", ("state", "trees", 0, "value", 0)), value=math.nan)
+@example(site=("svr", ("kind",)), value=[])
+@example(site=("gradient_boosting", ("state", "base_value")), value=10**400)
+def test_single_field_edit_is_refused_or_predicts_finite(site, value):
+    """load_model refuses an edited document with a ValueError naming the
+    file, always when it holds a non-finite number, or the model it loads
+    predicts finite values on finite X or raises a ValueError; never a
+    warning or another exception."""
+    kind, path = site
+    doc = copy.deepcopy(SAVED_DOCUMENTS[kind])
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    X = np.random.default_rng(9).normal(size=(20, 3))
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        file = Path(tmp) / "m.json"
+        file.write_text(json.dumps(doc))
+        try:
+            model = load_model(file)
+        except ValueError as exc:
+            assert str(file) in str(exc)
+            return
+        # NaN, the infinities and 10**400: no finite float holds them
+        assert not (isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max)
+        try:
+            out = predict(model, X)
+        except ValueError:
+            return
+        assert np.isfinite(out).all()

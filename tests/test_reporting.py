@@ -2,9 +2,9 @@ import xml.etree.ElementTree as ET
 
 from wheatyield.evalstat import Report, ReportRow
 from wheatyield.reporting import (
-    append_compare_txt,
     compare_csv,
     compare_text,
+    full_text,
     mae_chart_svg,
     report_csv,
     report_text,
@@ -54,25 +54,12 @@ def test_compare_outputs():
     assert "soil" in lines[0]
 
 
-def test_append_compare_creates_or_appends(tmp_path):
-    path = tmp_path / "report.txt"
-    append_compare_txt(sample_report(), path)
-    assert path.read_text().startswith("## paired comparison")
-    path.write_text("existing\n")
-    append_compare_txt(sample_report(), path)
-    content = path.read_text()
-    assert content.startswith("existing\n")
-    assert "## paired comparison" in content
-
-
-def test_append_compare_is_idempotent(tmp_path):
-    path = tmp_path / "report.txt"
-    path.write_text("metadata\n")
-    append_compare_txt(sample_report(), path)
-    once = path.read_text()
-    append_compare_txt(sample_report(), path)
-    assert path.read_text() == once
-    assert once.count("## paired comparison") == 1
+def test_full_text_ends_with_the_paired_section_only_when_both_modes_ran():
+    report = sample_report()
+    assert full_text(report) == report_text(report).rstrip("\n") + "\n\n" + compare_text(report)
+    soil_only = Report(rows=[ReportRow("svr", mae_soil=1.5), ReportRow("decision_tree", 2.0)],
+                       train_years=(2016,), test_year=2018, seed=1, config_digest="d")
+    assert full_text(soil_only) == report_text(soil_only)
 
 
 def test_svg_is_well_formed_and_deterministic():
