@@ -88,6 +88,10 @@ def _build_instances(cfg: RunConfig, out: Path):
     return instances, skipped
 
 
+# each mode's matrix file; features removes those of the modes it does not build
+_MATRIX_FILES = {MODE_SOIL: "features_soil.csv", MODE_SOIL_WEATHER: "features_soil_weather.csv"}
+
+
 def _write_skipped(skipped, out: Path) -> None:
     lines = ["zone_id,year,reason"]
     lines += [f"{s.zone_id},{s.year},{s.reason}" for s in skipped]
@@ -133,9 +137,11 @@ def features_cmd(**kwargs) -> None:
     cfg, out = _load(**kwargs)
     exp = cfg.experiment
     instances, skipped = _build_instances(cfg, out)
-    for mode in exp.modes:
+    for mode, name in _MATRIX_FILES.items():
+        if mode not in exp.modes:
+            (out / name).unlink(missing_ok=True)
+            continue
         matrix = features.build_matrix(instances, mode, exp.feature_params)
-        name = "features_soil.csv" if mode == MODE_SOIL else "features_soil_weather.csv"
         features.write_features_csv(matrix, out / name)
         click.echo(f"wrote {name}: {matrix.n_rows} rows x {matrix.n_cols} features")
     if skipped:
@@ -155,6 +161,8 @@ def evaluate(**kwargs) -> None:
     reporting.write_mae_chart_svg(report, out / "mae_chart.svg")
     if reporting.paired(report):
         (out / "compare.csv").write_text(reporting.compare_csv(report))
+    else:  # an earlier both-mode run's comparison is not this run's
+        (out / "compare.csv").unlink(missing_ok=True)
     click.echo(reporting.full_text(report).rstrip())
 
 

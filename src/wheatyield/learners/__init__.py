@@ -97,14 +97,8 @@ class ModelParams:
             raise ValueError("seed must be >= 0")
 
 
-ESTIMATORS = {
-    "decision_tree": DecisionTree,
-    "svr": LinearSVR,
-    "random_forest": RandomForest,
-    "extra_trees": ExtraTrees,
-    "gradient_boosting": GradientBoosting,
-    "hist_gradient_boosting": HistGradientBoosting,
-}
+ESTIMATORS = {cls.kind: cls for cls in (DecisionTree, LinearSVR, RandomForest, ExtraTrees,
+                                        GradientBoosting, HistGradientBoosting)}
 
 MODEL_KINDS = tuple(ESTIMATORS)
 

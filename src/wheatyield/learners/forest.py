@@ -1,7 +1,9 @@
 """Bagged tree ensembles: random forest and extremely randomized trees.
 
 Every tree draws its own generator from (seed, tree index), so training is
-bit-reproducible in whichever process it runs.
+bit-reproducible in whichever process it runs. A random-forest tree grows
+on a bootstrap :func:`tree.sample`. Each node draws max_features columns,
+ceil(d/3) by default; grow_tree reads a value >= d as all columns.
 """
 
 from __future__ import annotations
@@ -11,13 +13,7 @@ import math
 import numpy as np
 
 from .splits import presort
-from .tree import TreeEnsemble, TreeNodes, derived_rng, grow_tree
-
-
-def _resolve_max_features(max_features: int | None, d: int) -> int:
-    if max_features is None:
-        return max(1, math.ceil(d / 3))
-    return min(max_features, d)
+from .tree import TreeEnsemble, TreeNodes, derived_rng, grow_tree, sample
 
 
 class _BaseForest(TreeEnsemble):
@@ -32,21 +28,17 @@ class _BaseForest(TreeEnsemble):
         presorted: tuple[np.ndarray, np.ndarray] | None,
         index: int,
     ) -> TreeNodes:
-        rng = derived_rng(self.params.seed, index)
+        p = self.params
+        rng = derived_rng(p.seed, index)
         n, d = X.shape
-        if self.use_bootstrap and self.params.bootstrap:
-            rows = rng.integers(0, n, size=n)
-            X, y = X[rows], y[rows]
-            if presorted is not None:
-                # the sample's sort is a radix sort of its rows' ranks
-                ranks = presorted[1].take(rows, axis=1)
-                presorted = (np.argsort(ranks, axis=1, kind="stable"), ranks)
+        if self.use_bootstrap and p.bootstrap:
+            X, y, presorted = sample(X, y, presorted, rng.integers(0, n, size=n))
         return grow_tree(
             X,
             y,
-            max_depth=self.params.max_depth,
-            min_samples_leaf=self.params.min_samples_leaf,
-            max_features=_resolve_max_features(self.params.max_features, d),
+            max_depth=p.max_depth,
+            min_samples_leaf=p.min_samples_leaf,
+            max_features=max(1, math.ceil(d / 3)) if p.max_features is None else p.max_features,
             rng=rng,
             random_thresholds=self.random_thresholds,
             presorted=presorted,

@@ -12,9 +12,10 @@ costs one pass over the node's rows. Only the smaller child of a split
 bins its counts; the larger child's are the parent's minus those, exact
 for integers.
 
-Fitted trees store real-valued thresholds, so the boosting loop is that
-of :class:`boosting.Boosting` and prediction and serialization are those
-of :class:`tree.TreeEnsemble`.
+Fitted trees store real-valued thresholds, so the boosting loop and its
+row samples are those of :class:`boosting.Boosting` and prediction and
+serialization those of :class:`tree.TreeEnsemble`. The bins are fixed per
+fit, so a round grows on its sample's row ids, not on a copy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .boosting import Boosting, RoundGrower
 from .splits import midpoint, presort
-from .tree import TreeNodes, _Growth, derived_rng, subsample_rows
+from .tree import TreeNodes, _Growth
 
 
 def bin_features(
@@ -203,14 +204,5 @@ class HistGradientBoosting(Boosting):
             min_samples_leaf=p.min_samples_leaf,
             max_leaves=p.max_leaves,
         )
-        n = X.shape[0]
-        all_rows = np.arange(n, dtype=np.intp)
-
-        def grow(residual: np.ndarray, m: int) -> TreeNodes:
-            if p.subsample < 1.0:
-                rows = subsample_rows(n, p.subsample, derived_rng(p.seed, m))
-            else:
-                rows = all_rows
-            return builder.grow(residual, rows)
-
-        return grow
+        all_rows = np.arange(X.shape[0], dtype=np.intp)
+        return lambda resid, rows, rng: builder.grow(resid, all_rows if rows is None else rows)

@@ -130,38 +130,28 @@ def grow_tree(
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
     random_thresholds: bool = False,
-    root_rows: np.ndarray | None = None,
     presorted: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TreeNodes:
     """Grow one regression tree.
 
     max_features draws a fresh feature subset at every node (requires rng);
     random_thresholds switches the split search from exhaustive midpoints
-    to one uniform draw per feature (extra-trees style). root_rows must be
-    strictly ascending.
+    to one uniform draw per feature (extra-trees style).
 
     The exhaustive search sorts nothing. It needs ``presorted = (order,
     ranks)``: X's rows sorted stably by each column and the columns' dense
-    ranks, as :func:`splits.presort` gives them, or the columns of a larger
-    matrix's ranks that X's rows were drawn from (a bootstrap sample) with
-    their stable argsort. Each searching node holds its rows sorted by
-    every column (a (d, m) row-id matrix) and partitions that matrix stably
-    between its children. Node rows stay ascending, so a stable full sort
-    filtered to a node equals a stable sort of that node alone, and every
-    split is the one :func:`best_split` finds for the node's rows. The scan
-    tells equal values from distinct ones by their ranks, and reads X only
-    for the threshold. The random search needs no presort.
+    ranks, as :func:`splits.presort` or :func:`sample` gives them. Each
+    searching node holds its rows sorted by every column (a (d, m) row-id
+    matrix) and partitions that matrix stably between its children. Node
+    rows stay ascending, so a stable full sort filtered to a node equals a
+    stable sort of that node alone, and every split is the one
+    :func:`best_split` finds for the node's rows. The scan tells equal
+    values from distinct ones by their ranks, and reads X only for the
+    threshold. The random search needs no presort.
     """
     if X.shape[0] == 0:
         raise ValueError("cannot grow a tree on an empty matrix")
     n, d = X.shape
-    rows0 = (
-        np.arange(n, dtype=np.intp) if root_rows is None else np.asarray(root_rows, dtype=np.intp)
-    )
-    if rows0.size == 0:
-        raise ValueError("cannot grow a tree on an empty row subset")
-    if np.any(rows0[1:] <= rows0[:-1]):
-        raise ValueError("root_rows must be strictly ascending")
     if max_features is not None and max_features < 1:
         raise ValueError("max_features must be >= 1")
     subset = max_features is not None and max_features < d
@@ -183,16 +173,11 @@ def grow_tree(
         return not random_thresholds and splittable(depth) and m >= max(2, 2 * min_samples_leaf)
 
     root_sorted = ranks = None
-    if searches(rows0.size, 0):
+    if searches(n, 0):
         order, ranks = presorted
         # row ids in the smallest dtype (16-bit at these sizes): the partitions
         # and gathers of the scan move a quarter of the bytes of intp ids
         root_sorted = order.astype(np.min_scalar_type(n - 1), copy=False)
-        if root_rows is not None:
-            in_root = np.zeros(n, dtype=bool)
-            in_root[rows0] = True
-            flat = root_sorted.ravel()
-            root_sorted = np.compress(in_root.take(flat), flat).reshape(d, rows0.size)
 
     def build(rows: np.ndarray, sorted_rows: np.ndarray | None, depth: int) -> int:
         idx = growth.add()
@@ -240,7 +225,7 @@ def grow_tree(
             growth.right[idx] = build(right_rows, right_sorted, depth + 1)
         return idx
 
-    build(rows0, root_sorted, 0)
+    build(np.arange(n, dtype=np.intp), root_sorted, 0)
     # build reaches itself through its closure; clearing the name breaks that
     # cycle, so the arrays the closure holds are freed now, not at a later
     # garbage collection
@@ -335,3 +320,17 @@ def subsample_rows(n: int, fraction: float, rng: np.random.Generator) -> np.ndar
     """Sorted sample without replacement of ceil(fraction * n) rows."""
     size = max(1, math.ceil(fraction * n))
     return np.sort(rng.choice(n, size=size, replace=False))
+
+
+def sample(
+    X: np.ndarray, y: np.ndarray, presorted: tuple[np.ndarray, np.ndarray], rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``X[rows]``, ``y[rows]`` and their presort, cut from X's presort: the
+    rows' ranks and a stable (radix) argsort of them.
+
+    A bootstrap draw repeats rows. A subsample's rows are ascending and
+    unique, so the sort keeps their tie order in X, and the sample grows
+    the tree that its rows would grow inside X.
+    """
+    ranks = presorted[1].take(rows, axis=1)
+    return X[rows], y[rows], (np.argsort(ranks, axis=1, kind="stable"), ranks)

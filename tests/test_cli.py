@@ -410,6 +410,22 @@ class TestCliPipeline:
         assert "## paired comparison" not in result.output
         assert not (workdir / "out" / "compare.csv").exists()
 
+    def test_one_mode_run_removes_the_other_modes_files(self, workdir):
+        """An output directory holds one run's files: a soil-only run after
+        a both-mode run leaves no soil+weather matrix and no comparison."""
+        run_cli("synth", "--config", "run.ini")
+        out = workdir / "out"
+        for mode in ("both", "soil"):
+            for command in ("features", "evaluate"):
+                assert run_cli(command, "--config", "run.ini", "--mode", mode).exit_code == 0
+            if mode == "both":
+                assert (out / "compare.csv").exists()
+                assert (out / "features_soil_weather.csv").exists()
+        assert not (out / "compare.csv").exists()
+        assert not (out / "features_soil_weather.csv").exists()
+        assert (out / "features_soil.csv").exists()
+        assert "## paired comparison" not in (out / "report.txt").read_text()
+
     def test_report_txt_is_the_same_in_any_output_directory(self, workdir):
         run_cli("synth", "--config", "run.ini")
         for out in ("a", "b/c"):

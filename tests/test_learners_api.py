@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import pickle
@@ -427,3 +428,59 @@ def test_single_field_edit_is_refused_or_predicts_finite(site, value):
         except ValueError:
             return
         assert np.isfinite(out).all()
+
+
+
+# sha256 of save_model's bytes for every kind that calls no BLAS, fitted on
+# a small matrix with many ties, so that the presort, the row samples, the
+# feature draws and the split search are all pinned to the bit. Each setting
+# runs once more with max_features above the column count, which every kind
+# reads as all columns. A change that means to alter a tree updates its
+# digest here and says so; no other change touches them
+BLAS_FREE_MODEL_DIGESTS = [
+    ("decision_tree", {},
+     "09d95f9a07ddb40d2bb10f58b0daf12283f0f4cb708ca2fc6c13a6eb72ea2c55"),
+    ("decision_tree", {"max_features": 500},
+     "61544635a31944ab5526cbc9b74866e0d92bbd9e1d41e1b313d1aca5145e6c24"),
+    ("random_forest", {},
+     "02884f6352f99498525bc12cecb3514e630d1b43e1d1125ea5c51f43715412c8"),
+    ("random_forest", {"max_features": 500},
+     "d737f6f3ee9ef0795d3ccb67f7e431af4fbf77a0876a9622e2c3113e0b6c4326"),
+    ("random_forest", {"bootstrap": False},
+     "123c0b972cb06429d7e48579f3e460b4fb4d42f9e5ef7c6895f1f1af89d63fc6"),
+    ("random_forest", {"bootstrap": False, "max_features": 500},
+     "931d430e787f41d40c951dad914a1c69b2f4228320c222f483feb3fac45b631c"),
+    ("gradient_boosting", {},
+     "406188baf761c676cc39727a2338c7cb799f3ecd13c146a5709654db553cc3a9"),
+    ("gradient_boosting", {"max_features": 500},
+     "b3347fea23b7c9d305efd1ad53d0bd3321885752950169a1057329e0830b5f06"),
+    ("gradient_boosting", {"subsample": 0.7},
+     "d3df774d7d4ad04b427dbd8adb6fff7735afe6413274538142caf9e81c3637eb"),
+    ("gradient_boosting", {"subsample": 0.7, "max_features": 500},
+     "73de6d2aca7c2ddd63b78d03b7ff1bc8a3fa3238797dc6369b7c2ca6db23a8e3"),
+    ("gradient_boosting", {"subsample": 0.7, "max_features": 7},
+     "75d6e7140349613ceae2b98d88fe858ab4689681de8fd4c43ef38b251c9d122d"),
+    ("hist_gradient_boosting", {},
+     "aae8be5a030687c8ab5adce7347dabba5d710d200bae126854f1e9d0f05f7ae4"),
+    ("hist_gradient_boosting", {"max_features": 500},
+     "9622a7b85af20d604ea502b54b74462e9f114e8c16197ce703033702160b8c5d"),
+    ("hist_gradient_boosting", {"subsample": 0.7},
+     "b258cbc3743b7adcf3d6ee625205808e0250b752468490693eba8fb0ca220c93"),
+    ("hist_gradient_boosting", {"subsample": 0.7, "max_features": 500},
+     "461c5c36d5b6f2d17a764e75c95a2819f7d80502ee7ccbe644a2100acc201012"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,overrides,digest",
+    BLAS_FREE_MODEL_DIGESTS,
+    ids=[kind + "".join(f"-{key}={value}" for key, value in overrides.items())
+         for kind, overrides, _ in BLAS_FREE_MODEL_DIGESTS],
+)
+def test_blas_free_models_keep_their_bytes(tmp_path, kind, overrides, digest):
+    rng = np.random.default_rng(0)
+    X = np.round(rng.normal(size=(300, 20)), 1)
+    y = np.round(X[:, 0] * 2 - X[:, 3] + rng.normal(size=300), 2)
+    params = ModelParams(n_estimators=8, max_depth=4, min_samples_leaf=3, seed=3, **overrides)
+    save_model(train(kind, X, y, params), tmp_path / "m.json")
+    assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == digest

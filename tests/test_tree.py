@@ -16,7 +16,7 @@ from wheatyield.learners import (
 from wheatyield.learners import splits
 from wheatyield.learners.boosting import GradientBoosting
 from wheatyield.learners.forest import RandomForest
-from wheatyield.learners.tree import TreeNodes, derived_rng, grow_tree, subsample_rows
+from wheatyield.learners.tree import TreeNodes, derived_rng, grow_tree, sample, subsample_rows
 
 
 def enumerate_splits(X, y, min_leaf=1):
@@ -220,28 +220,18 @@ class TestGrowTree:
     @given(tree_problems())
     @settings(max_examples=300, deadline=None)
     def test_matches_per_node_argsort_reference(self, problem):
-        X, y, seed = problem["X"], problem["y"], problem["seed"]
-        kwargs = {
-            key: problem[key] for key in ("max_depth", "min_samples_leaf", "max_features", "root_rows")
-        }
-        got = grow_tree(
-            X,
-            y,
-            rng=np.random.default_rng(seed),
-            presorted=splits.presort(X),
-            **kwargs,
-        )
-        want = reference_grow_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
+        """grow_tree on the sample that sample() cuts grows the tree that
+        the reference grows on the same rows in place."""
+        X, y, seed, rows = problem["X"], problem["y"], problem["seed"], problem["root_rows"]
+        kwargs = {key: problem[key] for key in ("max_depth", "min_samples_leaf", "max_features")}
+        Xs, ys, presorted = X, y, splits.presort(X)
+        if rows is not None:
+            Xs, ys, presorted = sample(X, y, presorted, rows)
+        got = grow_tree(Xs, ys, rng=np.random.default_rng(seed), presorted=presorted, **kwargs)
+        want = reference_grow_tree(X, y, rng=np.random.default_rng(seed), root_rows=rows, **kwargs)
         for name in TreeNodes.__slots__:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-
-    def test_root_rows_must_be_strictly_ascending(self):
-        X = np.arange(8.0).reshape(4, 2)
-        y = np.arange(4.0)
-        for rows in ([2, 1], [1, 1, 3]):
-            with pytest.raises(ValueError, match="strictly ascending"):
-                grow_tree(X, y, max_depth=2, min_samples_leaf=1, root_rows=np.array(rows))
 
     def test_exhaustive_search_needs_presorted(self):
         X = np.arange(8.0).reshape(4, 2)
