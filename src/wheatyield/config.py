@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .domain import DEFAULT_ORDINAL_ORDERS, DEFAULT_RANGES, Bound, OrdinalSpec, ValidationRanges
-from .evalstat import ExperimentConfig
+from .evalstat import PAIRED_ALTERNATIVES, ExperimentConfig, check_models
 from .features import DEFAULT_FEATURE_PARAMS, MODE_SOIL, MODE_SOIL_WEATHER, FeatureParams
 from .learners import MODEL_KINDS, ModelParams
 from .synthgen import GenConfig, YearSpec
@@ -278,28 +278,25 @@ def load_config(
     if mode not in MODES:
         raise ConfigError(f"[run] mode must be one of {MODES}, got {mode!r}")
     models = _parse_list(run["models"])
-    for i, kind in enumerate(models):
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"[run] models: unknown model kind {kind!r}")
-        if kind in models[:i]:
-            raise ConfigError(f"[run] models: duplicate model kind {kind!r}")
+    try:
+        check_models(models)
+    except ValueError as exc:
+        raise ConfigError(f"[run] models: {exc}") from None
 
     alternative = merged["experiment"]["paired_alternative"].strip()
-    if alternative not in ("b_less_than_a", "a_less_than_b"):
+    if alternative not in PAIRED_ALTERNATIVES:
         raise ConfigError(
-            "[experiment] paired_alternative must be b_less_than_a or a_less_than_b"
+            f"[experiment] paired_alternative must be {' or '.join(PAIRED_ALTERNATIVES)}"
         )
 
     ranges = _build_ranges(merged["validation"])
     ordinals = OrdinalSpec(
         orders={name: tuple(_parse_list(text)) for name, text in merged["ordinals"].items()}
     )
-    feature_params = FeatureParams(**_fields_from("features", merged["features"], _FEATURE_TYPES))
-    # week 54 starts a year after sowing, in the next season
-    if not 1 <= feature_params.week_start <= feature_params.week_end <= 53:
-        raise ConfigError("[features] week window must satisfy 1 <= week_start <= week_end <= 53")
-    if not 1 <= feature_params.min_days_per_week <= 7:
-        raise ConfigError("[features] min_days_per_week must be in 1..7")
+    try:
+        feature_params = FeatureParams(**_fields_from("features", merged["features"], _FEATURE_TYPES))
+    except ValueError as exc:
+        raise ConfigError(f"[features] {exc}") from None
 
     model_params = {
         kind: _build_model_params(kind, merged[f"model.{kind}"], seed)

@@ -31,10 +31,11 @@ from .features import (
     build_matrix,
     feature_names,
 )
-from .learners import ModelParams, predict, train_on_matrix
+from .learners import MODEL_KINDS, ModelParams, predict, train_on_matrix
 
 B_LESS_THAN_A = "b_less_than_a"
 A_LESS_THAN_B = "a_less_than_b"
+PAIRED_ALTERNATIVES = (B_LESS_THAN_A, A_LESS_THAN_B)
 
 
 def normal_cdf(z: float) -> float:
@@ -185,12 +186,9 @@ def paired_t_one_tailed(
     n = err_a.size
     if n < 2:
         raise ValueError("paired t-test needs n >= 2")
-    if alternative == B_LESS_THAN_A:
-        d = err_a - err_b
-    elif alternative == A_LESS_THAN_B:
-        d = err_b - err_a
-    else:
+    if alternative not in PAIRED_ALTERNATIVES:
         raise ValueError(f"unknown alternative: {alternative!r}")
+    d = err_a - err_b if alternative == B_LESS_THAN_A else err_b - err_a
     mean = float(d.mean())
     sd = float(d.std(ddof=1))
     if sd == 0.0:
@@ -251,6 +249,15 @@ class ExperimentConfig:
     config_digest: str = ""
 
 
+def check_models(models: list[str]) -> None:
+    """Refuse an unknown or repeated model kind."""
+    for i, kind in enumerate(models):
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        if kind in models[:i]:
+            raise ValueError(f"duplicate model kind {kind!r}")
+
+
 def _usable_cores() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -301,6 +308,9 @@ def run_experiment(instances: DesignMatrix, cfg: ExperimentConfig) -> Report:
     """
     if not cfg.models:
         raise ValueError("no models configured")
+    check_models(cfg.models)
+    if cfg.paired_alternative not in PAIRED_ALTERNATIVES:
+        raise ValueError(f"unknown alternative: {cfg.paired_alternative!r}")
     if not cfg.modes:
         raise ValueError("no feature modes configured")
     train_insts, test_insts = temporal_split(

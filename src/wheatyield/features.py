@@ -49,6 +49,13 @@ class FeatureParams:
     week_end: int = 40
     min_days_per_week: int = 7
 
+    def __post_init__(self):
+        # week 54 starts a year after sowing, in the next season
+        if not 1 <= self.week_start <= self.week_end <= 53:
+            raise ValueError("week window must satisfy 1 <= week_start <= week_end <= 53")
+        if not 1 <= self.min_days_per_week <= 7:
+            raise ValueError("min_days_per_week must be in 1..7")
+
     def weeks(self) -> range:
         return range(self.week_start, self.week_end + 1)
 

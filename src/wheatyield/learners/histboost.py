@@ -1,10 +1,11 @@
 """Histogram-based gradient boosting with leaf-wise tree growth.
 
 Features are binned once per fit from the ranks of ``splits.presort``:
-when a feature has at most n_bins distinct values its bins are its ranks
-and the bin edges are the exact search's midpoints between consecutive
-distinct values (so split candidates coincide), otherwise the ranks are
-grouped at equal-frequency cuts. Trees grow leaf-wise: the leaf whose
+a value's bin counts its feature's cut ranks at or below its rank. With at
+most n_bins distinct values a feature cuts before every rank but the
+first, so its bins are its ranks; otherwise it cuts at equal-frequency
+positions. A split's threshold is the ``splits.midpoint`` of the node's
+values either side of the cut. Trees grow leaf-wise: the leaf whose
 best split removes the most squared error is expanded first, until
 max_leaves is reached or no leaf can improve. A node's residual-sum
 histogram is one vectorized bincount over all features, so each tree level
@@ -31,37 +32,27 @@ from .tree import TreeNodes, _Growth
 
 
 def bin_features(
-    X: np.ndarray, n_bins: int, presorted: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Histogram codes of X's columns: an (n, d) matrix of bins, and each
-    column's thresholds, from ``presorted = splits.presort(X)``.
+    n_bins: int, presorted: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram codes of X from ``presorted = splits.presort(X)``: an
+    (n, d) matrix of bins, and each column's number of cuts.
 
-    A column with k distinct values cuts before the ranks 1..k-1 when
-    k <= n_bins, so its bins are its ranks. Otherwise it cuts before the
-    distinct ranks found at equal-frequency positions, rank 0 excepted.
-    The threshold of the cut before rank c is the midpoint of the values
-    ranked c - 1 and c, so "x <= threshold" puts x in a bin <= the cut's.
+    A column with k distinct values cuts before every rank but 0 when
+    k <= n_bins, so its bins are its ranks 0..k-1. Otherwise it cuts before
+    the distinct ranks found at equal-frequency positions, rank 0 excepted.
+    A value's bin is the number of cuts at or below its rank.
     """
     order, ranks = presorted
-    n, d = X.shape
-    binned = np.empty((n, d), dtype=ranks.dtype)
-    thresholds = []
-    for j in range(d):
-        xs = X[order[j], j]
-        sorted_ranks = ranks[j].take(order[j])
-        k = int(sorted_ranks[-1]) + 1
-        if k <= n_bins:
-            cuts = np.arange(1, k)
-            binned[:, j] = ranks[j]
-        else:
-            positions = (np.arange(1, n_bins) * n) // n_bins
-            cuts = np.unique(sorted_ranks[positions])
-            cuts = cuts[cuts > 0]
-            binned[:, j] = np.searchsorted(cuts, ranks[j], side="right")
-        # the first sorted position of each cut's rank, and the one before it
-        first = np.searchsorted(sorted_ranks, cuts)
-        thresholds.append(midpoint(xs[first - 1], xs[first]))
-    return binned, thresholds
+    d, n = ranks.shape
+    # a position is below n, so an n_bins far above the row count sizes nothing
+    positions = np.arange(1, min(n_bins, n)) * n // n_bins
+    is_cut = np.zeros((d, n), dtype=bool)
+    np.put_along_axis(is_cut, np.take_along_axis(ranks, order[:, positions], axis=1), True, axis=1)
+    # no value has a rank past k - 1, so those cuts count for no bin
+    is_cut[ranks.max(axis=1, initial=0).astype(np.intp) < n_bins] = True
+    is_cut[:, 0] = False
+    binned = np.take_along_axis(np.cumsum(is_cut, axis=1, dtype=ranks.dtype), ranks, axis=1)
+    return np.ascontiguousarray(binned.T), binned.max(axis=1, initial=0)
 
 
 @dataclass
@@ -81,7 +72,7 @@ class _HistTreeBuilder:
         self,
         X: np.ndarray,
         binned: np.ndarray,
-        thresholds: list[np.ndarray],
+        n_cuts: np.ndarray,
         *,
         max_depth: int | None,
         min_samples_leaf: int,
@@ -91,17 +82,15 @@ class _HistTreeBuilder:
         self.binned = binned
         self.max_depth = max_depth
         self.min_leaf = min_samples_leaf
-        self.max_leaves = max(2, max_leaves)
+        self.max_leaves = max_leaves
         d = binned.shape[1]
-        # feature f has thresholds[f].size + 1 bins, so the widest feature
-        # sets the histogram width; n_bins may be far wider than the data
-        self.width = max(2, 1 + max((thr.size for thr in thresholds), default=0))
+        # feature f has n_cuts[f] + 1 bins, so the widest feature sets the
+        # histogram width; n_bins may be far wider than the data
+        self.width = max(2, 1 + int(n_cuts.max(initial=0)))
         # flat histogram cell of every (row, feature), computed once per fit
         self.codes = binned + np.arange(d, dtype=np.intp) * self.width
-        # bin b is a usable cut for feature f only if threshold b exists
-        self.cut_ok = np.zeros((d, self.width - 1), dtype=bool)
-        for f, thr in enumerate(thresholds):
-            self.cut_ok[f, : thr.size] = True
+        # bin b is a usable cut for feature f only if f cuts after bin b
+        self.cut_ok = np.arange(self.width - 1) < n_cuts[:, None]
 
     def _best(self, cnt: np.ndarray, sums: np.ndarray, m: int, total: float):
         """Best (feature, bin, gain) by absolute SSE reduction, or None."""
@@ -195,11 +184,11 @@ class HistGradientBoosting(Boosting):
 
     def _round_grower(self, X: np.ndarray) -> RoundGrower:
         p = self.params
-        binned, thresholds = bin_features(X, p.n_bins, presort(X))
+        binned, n_cuts = bin_features(p.n_bins, presort(X))
         builder = _HistTreeBuilder(
             X,
             binned,
-            thresholds,
+            n_cuts,
             max_depth=p.max_depth,
             min_samples_leaf=p.min_samples_leaf,
             max_leaves=p.max_leaves,

@@ -149,11 +149,7 @@ def grow_tree(
     values from distinct ones by their ranks, and reads X only for the
     threshold. The random search needs no presort.
     """
-    if X.shape[0] == 0:
-        raise ValueError("cannot grow a tree on an empty matrix")
     n, d = X.shape
-    if max_features is not None and max_features < 1:
-        raise ValueError("max_features must be >= 1")
     subset = max_features is not None and max_features < d
     if subset and rng is None:
         raise ValueError("feature subsampling requires an rng")

@@ -303,6 +303,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="models"):
             run_experiment(self.small_instances(), self.config(models=[]))
 
+    @pytest.mark.parametrize("overrides,match", [
+        (dict(models=["decision_tree", "random_forest", "random_forest"]),
+         "duplicate model kind 'random_forest'"),
+        (dict(paired_alternative="two_sided"), "unknown alternative: 'two_sided'"),
+    ], ids=["duplicate_kind", "unknown_alternative"])
+    def test_bad_config_refused_before_any_fit(self, monkeypatch, overrides, match):
+        def no_fits(tasks, n_jobs):
+            raise AssertionError("a model was fitted before the config was checked")
+
+        monkeypatch.setattr(evalstat, "_fit_grid", no_fits)
+        with pytest.raises(ValueError, match=match):
+            run_experiment(self.small_instances(), self.config(**overrides))
+
     def test_worker_count_capped_at_number_of_fits(self, monkeypatch):
         widths = []
 

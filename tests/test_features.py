@@ -101,6 +101,18 @@ class TestAssignWeeks:
 BASES = (1, date(2017, 10, 1).toordinal(), 2**32 - 60)
 
 
+@pytest.mark.parametrize("window", [
+    dict(week_start=5, week_end=4),
+    dict(week_start=0),
+    dict(week_end=54),
+    dict(min_days_per_week=0),
+    dict(min_days_per_week=8),
+])
+def test_bad_window_refused(window):
+    with pytest.raises(ValueError):
+        FeatureParams(**window)
+
+
 def reference_window_edges(zone_days, zone, sowing, params):
     """``window_edges`` by one search in each zone's own sorted days;
     ``zone_days[z]`` are the days of zone code z, codes past the list

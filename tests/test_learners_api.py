@@ -468,6 +468,12 @@ BLAS_FREE_MODEL_DIGESTS = [
      "b258cbc3743b7adcf3d6ee625205808e0250b752468490693eba8fb0ca220c93"),
     ("hist_gradient_boosting", {"subsample": 0.7, "max_features": 500},
      "461c5c36d5b6f2d17a764e75c95a2819f7d80502ee7ccbe644a2100acc201012"),
+    # the columns have 45-52 distinct values, so 8 bins take the
+    # equal-frequency cuts
+    ("hist_gradient_boosting", {"n_bins": 8},
+     "fe5fe9893127b216a0bfe381a1278f04a779a67c10fd6b79cc55a03370b77164"),
+    ("hist_gradient_boosting", {"n_bins": 8, "subsample": 0.7},
+     "e2ca6b7c3e9b4f4f0a24c0a67410672b8667d27672c412c706cfc98456bfca5d"),
 ]
 
 
