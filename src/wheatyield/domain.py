@@ -83,17 +83,31 @@ class SoilRecord:
 
 WEATHER_FIELDS = ("t_min", "t_max", "precip", "solar", "humidity")
 
-# Daily weather is one structured array with a row per zone-day: zone_id
-# holds one shared str object per zone, day the date's proleptic ordinal.
+# Daily weather is one structured array with a row per zone-day, 48 bytes
+# and no Python object a row: zone is the row's code into its Weather's zone
+# ids, day the date's proleptic ordinal (at most 3,652,059, for 9999-12-31).
 WEATHER_DTYPE = np.dtype(
-    [("zone_id", object), ("day", np.int64)] + [(name, np.float64) for name in WEATHER_FIELDS]
+    [("zone", np.int32), ("day", np.int32)] + [(name, np.float64) for name in WEATHER_FIELDS]
 )
+
+
+@dataclass(frozen=True, eq=False)
+class Weather:
+    """Daily weather as a dictionary-coded table: ``table`` is a
+    ``WEATHER_DTYPE`` array, and row i's zone id is ``zones[table["zone"][i]]``."""
+
+    zones: tuple[str, ...]
+    table: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.table)
 
 
 def zone_day_key(zone: np.ndarray, day: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The int64 key of (zone code, day ordinal in [0, 2**32)): sorting by it
-    sorts by zone, then day, and equal keys are the same zone-day. With
-    ``out`` (which may be ``zone`` itself) the key is built there, in place."""
+    sorts by zone, then day, and equal keys are the same zone-day. ``zone``
+    must be int64 (numpy 2 refuses 2**32 as an int32 operand). With ``out``
+    (which may be ``zone`` itself) the key is built there, in place."""
     return np.add(np.multiply(zone, 2**32, out=out), day, out=out)
 
 

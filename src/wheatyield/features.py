@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import CropRecord, OrdinalSpec, SoilRecord, WeeklyWeather, zone_day_key
+from .domain import CropRecord, OrdinalSpec, SoilRecord, Weather, WeeklyWeather, zone_day_key
 from .ingest import carry_forward_soil
 
 MODE_SOIL = "soil_only"
@@ -300,14 +300,14 @@ def build_matrix(
 def build_instances(
     crops: list[CropRecord],
     soils: list[SoilRecord],
-    weather: np.ndarray,
+    weather: Weather,
     mode: str,
     params: FeatureParams = DEFAULT_FEATURE_PARAMS,
     ordinals: OrdinalSpec | None = None,
 ) -> tuple[DesignMatrix, list[InstanceRejection]]:
     """Build every instance the records allow, skipping zone-years that
     lack a past soil test or whose weekly sums overflow or (in soil_weather
-    mode) that lack complete weeks. ``weather`` is a ``WEATHER_DTYPE`` array.
+    mode) that lack complete weeks.
 
     Returns (instances, skipped): one row of ``feature_names(mode, params)``
     per zone-year, in crop order, with (zone_id, year) as ``meta`` and the
@@ -325,23 +325,20 @@ def build_instances(
     ]
 
     if window:  # one (zone, day) sort and one search place every zone-year's weeks
-        zone_ids = weather["zone_id"]
-        runs = np.flatnonzero(np.r_[True, zone_ids[1:] != zone_ids[:-1]][: len(weather)])
-        codes: dict[str, int] = {}  # by first appearance; read once per run of one zone
-        run_code = [codes.setdefault(z, len(codes)) for z in zone_ids[runs].tolist()]
         # each row's zone code, then in place its key, then the sorted keys:
         # one key and one order beside the table
-        key = np.repeat(np.array(run_code, np.int64), np.diff(runs, append=len(weather)))
-        zone_day_key(key, weather["day"], out=key)
+        key = weather.table["zone"].astype(np.int64)
+        zone_day_key(key, weather.table["day"], out=key)
         order = np.argsort(key, kind="stable")
         key = key[order]
+        codes = {zone_id: code for code, zone_id in enumerate(weather.zones)}
         with_soil = [crop for crop, soil in zip(crops, soil_of) if soil is not None]
         zone = np.array([codes.get(crop.zone_id, len(codes)) for crop in with_soil], np.int64)
         sowing = np.array([crop.sowing_date.toordinal() for crop in with_soil], np.int64)
         edges = window_edges(key, zone, sowing, params)
         del key
         values, complete, overflow = aggregate_windows(
-            weather, order, edges, params.min_days_per_week
+            weather.table, order, edges, params.min_days_per_week
         )
         weekly = iter(zip(values, complete, overflow.tolist()))
 

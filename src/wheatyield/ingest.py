@@ -40,6 +40,7 @@ from .domain import (
     DEFAULT_RANGES,
     WEATHER_DTYPE,
     WEATHER_FIELDS,
+    Weather,
     validate,
     weather_rejections,
     zone_day_key,
@@ -220,11 +221,10 @@ _MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 _SHORT = 15  # longest field text packed into two words beside its length
 
 
-def _weather_rows(path: Path, table: np.ndarray, zone_code: np.ndarray):
-    """The row loop: ``csv.reader`` rows parsed one by one into ``table`` and
-    ``zone_code``, a row per record. Returns the number of records, the
-    zone ids by code and, by row, the reason of every row that does not
-    parse; such a row keeps its zeros in ``table``."""
+def _weather_rows(path: Path, table: np.ndarray):
+    """The row loop: ``csv.reader`` rows parsed one by one into ``table``, a
+    row per record. Returns the number of records, the zone ids by code and,
+    by row, the reason of every row that does not parse."""
     failed: dict[int, str] = {}
     zones: dict[str, int] = {}
     day_of: dict[str, int] = {}  # date text -> ordinal: each date recurs once per zone
@@ -233,10 +233,10 @@ def _weather_rows(path: Path, table: np.ndarray, zone_code: np.ndarray):
         if len(row) != width:
             failed[i] = f"expected {width} fields, got {len(row)}"
             continue
-        zone_code[i] = zones.setdefault(row[0], len(zones))
+        zone = zones.setdefault(row[0], len(zones))
         try:
             day = day_of.get(row[1]) or day_of.setdefault(row[1], parse_date(row[1]).toordinal())
-            table[i] = (0, day, *map(float, row[2:]))
+            table[i] = (zone, day, *map(float, row[2:]))
         except ValueError as exc:
             failed[i] = f"unparseable value: {exc}"
     return i + 1, list(zones), failed
@@ -348,12 +348,12 @@ def _column(block: bytes, windows, starts, ends, convert):
     return np.array(values)[inverse], failed
 
 
-def _weather_blocks(path: Path, table: np.ndarray, zone_code: np.ndarray):
+def _weather_blocks(path: Path, table: np.ndarray):
     """:func:`_weather_rows` by a byte tokenizer, for a file without quotes,
     where every comma ends a field. It reads the file a block at a time
     and converts each distinct field text of a block once."""
     encoding = locale.getpreferredencoding(False)  # what open() decodes with
-    targets = [zone_code, table["day"], *(table[name] for name in WEATHER_FIELDS)]
+    targets = [table[name] for name in WEATHER_DTYPE.names]
     zones: dict[str, int] = {}
 
     def number(text: bytes) -> float:
@@ -412,9 +412,9 @@ def _weather_blocks(path: Path, table: np.ndarray, zone_code: np.ndarray):
 
 def parse_weather(
     path: str | Path, ranges: ValidationRanges = DEFAULT_RANGES
-) -> tuple[np.ndarray, RejectionLog]:
-    """Parse weather.csv into one ``WEATHER_DTYPE`` array of the accepted rows
-    (input order) and a rejection log (line order).
+) -> tuple[Weather, RejectionLog]:
+    """Parse weather.csv into the accepted rows (input order), zone ids
+    coded by first appearance, and a rejection log (line order).
 
     A file without a ``"`` is tokenized a block of bytes at a time, each
     distinct field text converted once; a file with one takes the
@@ -425,15 +425,15 @@ def parse_weather(
     search, which holds one key and one sort order beside the table.
     """
     bound, quoted = _scan(Path(path))
-    # np.zeros, not np.empty, which sets the object field one row at a time (0.3 s)
-    table, key = np.zeros(bound, WEATHER_DTYPE), np.zeros(bound, np.int64)
-    n, zones, rejected = (_weather_rows if quoted else _weather_blocks)(Path(path), table, key)
-    table, key = table[:n], key[:n]
+    table = np.zeros(bound, WEATHER_DTYPE)  # a row that does not parse keeps its zeros
+    n, zones, rejected = (_weather_rows if quoted else _weather_blocks)(Path(path), table)
+    table = table[:n]
     for i, bad in weather_rejections(table, ranges).items():
         rejected.setdefault(i, str(bad))
-    # each row's zone code becomes, in place, its (zone, day) key with a low
-    # bit set if the row is rejected: the stable sort puts each zone-day's
-    # valid rows first, in file order, and its rejected rows after them
+    # each row's (zone, day) key with a low bit set if the row is rejected:
+    # the stable sort puts each zone-day's valid rows first, in file order,
+    # and its rejected rows after them
+    key = table["zone"].astype(np.int64)
     zone_day_key(key, table["day"], out=key)
     key <<= 1
     key[list(rejected)] += 1
@@ -447,22 +447,19 @@ def parse_weather(
         sorted_key = key[rows]
         at = np.flatnonzero(sorted_key[1:] == sorted_key[:-1]) + 1
         for i in rows[at[sorted_key[at] % 2 == 0]].tolist():
-            rejected[i] = (f"duplicate weather for zone {zones[int(key[i]) >> 33]} "
+            rejected[i] = (f"duplicate weather for zone {zones[table['zone'][i]]} "
                            f"on {date.fromordinal(int(table['day'][i]))}")
-    del order
+    del key, order
     log = RejectionLog([LogEntry(str(path), i + 2, reason)
                         for i, reason in sorted(rejected.items())])
     # keep the accepted rows in place, a column at a time: table[keep]
-    # would hold a second copy of the table at once; then give them their
-    # zone ids from their keys
+    # would hold a second copy of the table at once
     keep = np.ones(len(table), bool)
     keep[list(rejected)] = False
     n = int(np.count_nonzero(keep))
-    for column in (key, *(table[name] for name in WEATHER_DTYPE.names[1:])):
-        column[:n] = column[keep]
-    key >>= 33
-    table["zone_id"][:n] = np.array(zones, dtype=object)[key[:n]]
-    return table[:n], log
+    for name in WEATHER_DTYPE.names:
+        table[name][:n] = table[name][keep]
+    return Weather(tuple(zones), table[:n]), log
 
 
 def parse_crop(
@@ -506,22 +503,23 @@ _WRITE_ROWS = 65536  # weather rows formatted and written at a time
 
 
 def _texts(column: np.ndarray, text) -> list[str]:
-    """``text(value)`` for every cell of a 64-bit numeric column, called once
-    per distinct bit pattern, so -0.0 and 0.0 keep their own texts."""
-    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    """``text(value)`` for every cell of a numeric column, called once per
+    distinct bit pattern, so -0.0 and 0.0 keep their own texts."""
+    distinct, inverse = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
     texts = np.array([text(v) for v in distinct.view(column.dtype).tolist()], dtype=object)
     return texts[inverse].tolist()
 
 
-def write_weather_csv(table: np.ndarray, path: str | Path) -> None:
+def write_weather_csv(weather: Weather, path: str | Path) -> None:
+    zone_ids = np.array(weather.zones, dtype=object)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEATHER_HEADER)
         # a chunk at a time, so that the text columns stay small
-        for start in range(0, len(table), _WRITE_ROWS):
-            rows = table[start:start + _WRITE_ROWS]
+        for start in range(0, len(weather), _WRITE_ROWS):
+            rows = weather.table[start:start + _WRITE_ROWS]
             writer.writerows(zip(
-                rows["zone_id"].tolist(),
+                zone_ids[rows["zone"]].tolist(),
                 _texts(rows["day"], lambda day: date.fromordinal(day).isoformat()),
                 *(_texts(rows[name], repr) for name in WEATHER_FIELDS),
             ))

@@ -20,14 +20,13 @@ so regeneration is byte-identical and independent of evaluation order.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .domain import WEATHER_DTYPE, CropRecord, OrdinalSpec, SoilRecord, zone_day_key
+from .domain import WEATHER_DTYPE, CropRecord, OrdinalSpec, SoilRecord, Weather, zone_day_key
 from .features import (
     DEFAULT_FEATURE_PARAMS,
     WEEKLY_AGGREGATES,
@@ -208,7 +207,8 @@ def _fill_weather(block: np.ndarray, zone_years: list[tuple[int, int]], cfg: Gen
                   seed: int) -> None:
     """Write the daily weather of ``zone_years`` into ``block``, a
     ``WEATHER_DTYPE`` array of ``DAYS_PER_SEASON`` rows per zone-year: each
-    one's days from sowing through sowing + 40 weeks, in day order.
+    one's days from sowing through sowing + 40 weeks, in day order, coded by
+    its zone's pool index.
 
     Each zone-year draws from its own generators in a fixed order, so its
     values do not depend on the others in the block; the arithmetic then runs
@@ -232,8 +232,7 @@ def _fill_weather(block: np.ndarray, zone_years: list[tuple[int, int]], cfg: Gen
         rain[i] = rng.exponential(cfg.rain_scale_mm, n)
         solar[i] = rng.normal(0.0, cfg.sol_sd, n)
         humidity[i] = rng.normal(0.0, cfg.hum_sd, n)
-    zone_ids = [sys.intern(cfg.zone_id(zone)) for zone, _ in zone_years]
-    table["zone_id"] = np.array(zone_ids, dtype=object)[:, None]
+    table["zone"] = np.array([zone for zone, _ in zone_years])[:, None]
     table["day"] = ordinals = sowing[:, None] + np.arange(n)
 
     t_mean = _seasonal(ordinals, cfg.t_base, cfg.t_amp, _T_PEAK) + zone_offset[:, None] + daily
@@ -256,14 +255,6 @@ def _fill_weather(block: np.ndarray, zone_years: list[tuple[int, int]], cfg: Gen
         ),
         1,
     )
-
-
-def gen_weather(zone: int, year: int, cfg: GenConfig, seed: int) -> np.ndarray:
-    """Daily weather from sowing through sowing + 40 weeks for one zone-year,
-    as a day-sorted ``WEATHER_DTYPE`` array (see :func:`_fill_weather`)."""
-    days = np.zeros(DAYS_PER_SEASON, WEATHER_DTYPE)
-    _fill_weather(days, [(zone, year)], cfg, seed)
-    return days
 
 
 def _soil_record(
@@ -373,9 +364,10 @@ def zone_roster(year: int, cfg: GenConfig, seed: int) -> list[int]:
 def generate_records(
     cfg: GenConfig,
     feature_params: FeatureParams = DEFAULT_FEATURE_PARAMS,
-) -> tuple[list[SoilRecord], np.ndarray, list[CropRecord]]:
+) -> tuple[list[SoilRecord], Weather, list[CropRecord]]:
     """All records of the synthetic dataset, in deterministic output order
-    (soil by zone then year; weather and crop by year then zone)."""
+    (soil by zone then year; weather and crop by year then zone). Weather
+    codes each zone by its pool index."""
     seed = cfg.seed
     rosters = {year: zone_roster(year, cfg, seed) for year in sorted(cfg.years)}
     used_zones = sorted({z for roster in rosters.values() for z in roster})
@@ -389,7 +381,7 @@ def generate_records(
 
     zone_years = [(zone, year) for year in sorted(cfg.years) for zone in rosters[year]]
     n, weeks = DAYS_PER_SEASON, feature_params.weeks()
-    weather = np.zeros(len(zone_years) * n, WEATHER_DTYPE)  # np.zeros: see ingest.parse_weather
+    weather = np.empty(len(zone_years) * n, WEATHER_DTYPE)
     dd = np.zeros((len(zone_years), len(weeks)))
     ap = np.zeros_like(dd)
     complete = np.zeros(dd.shape, bool)
@@ -431,7 +423,7 @@ def generate_records(
                 yield_t_ha=y,
             )
         )
-    return soil, weather, crops
+    return soil, Weather(tuple(map(cfg.zone_id, range(cfg.zone_pool))), weather), crops
 
 
 def gen_dataset(

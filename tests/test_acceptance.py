@@ -177,7 +177,7 @@ def test_criterion_5_weekly_formula_oracle():
             t_min = float(rng.uniform(-15.0, 18.0))
             t_max = t_min + float(rng.uniform(0.0, 15.0))
             days.append((
-                "Z", base + i, t_min, t_max,
+                0, base + i, t_min, t_max,
                 float(rng.uniform(0.0, 25.0)), float(rng.uniform(0.0, 30.0)),
                 float(rng.uniform(0.0, 100.0)),
             ))

@@ -11,6 +11,7 @@ from wheatyield.domain import (
     UnknownCategoryError,
     WEATHER_DTYPE,
     ValidationRanges,
+    Weather,
     validate,
     weather_rejections,
 )
@@ -26,10 +27,23 @@ def make_soil(**kwargs) -> SoilRecord:
     return SoilRecord(**base)
 
 
+def weather_of(rows) -> Weather:
+    """The Weather of (zone id, day ordinal, t_min, t_max, precip, solar,
+    humidity) rows, zone ids coded by first appearance."""
+    codes: dict[str, int] = {}
+    coded = [(codes.setdefault(zone_id, len(codes)), *rest) for zone_id, *rest in rows]
+    return Weather(tuple(codes), np.array(coded, dtype=WEATHER_DTYPE))
+
+
+def named_rows(weather: Weather) -> list[tuple]:
+    """``weather``'s rows as tuples, each with its zone id in place of its code."""
+    return [(weather.zones[zone], *rest) for zone, *rest in weather.table.tolist()]
+
+
 def make_weather(**kwargs) -> np.ndarray:
     """A one-row weather table."""
     base = dict(
-        zone_id="Z1", day=date(2017, 3, 2).toordinal(), t_min=1.5, t_max=9.0,
+        zone=0, day=date(2017, 3, 2).toordinal(), t_min=1.5, t_max=9.0,
         precip=4.2, solar=8.1, humidity=82.0,
     )
     base.update(kwargs)

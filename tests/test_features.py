@@ -29,8 +29,15 @@ from wheatyield.features import (
 )
 from wheatyield import ingest
 from wheatyield.ingest import carry_forward_soil, parse_weather, write_weather_csv
-from wheatyield.synthgen import GenConfig, generate_records
+from wheatyield.synthgen import (
+    _CHUNK_ZONE_YEARS,
+    DAYS_PER_SEASON,
+    GenConfig,
+    YearSpec,
+    generate_records,
+)
 from test_cli import _quoted
+from test_domain import weather_of
 
 
 def day(d: date, t_max=10.0, t_min=2.0, precip=1.0, solar=5.0, humidity=80.0, zone="Z1"):
@@ -38,7 +45,7 @@ def day(d: date, t_max=10.0, t_min=2.0, precip=1.0, solar=5.0, humidity=80.0, zo
 
 
 def table(days):
-    return np.array(days, dtype=WEATHER_DTYPE)
+    return weather_of(days).table
 
 
 def soil_record():
@@ -235,7 +242,7 @@ class TestBuildInstance:
 
     def test_complete_window_gives_152_features(self):
         instances, skipped = build_instances(
-            [crop_record()], [soil_record()], table(season()), MODE_SOIL_WEATHER
+            [crop_record()], [soil_record()], weather_of(season()), MODE_SOIL_WEATHER
         )
         assert skipped == []
         assert instances.rows.shape == (1, 152)
@@ -243,7 +250,7 @@ class TestBuildInstance:
 
     def test_soil_only_needs_no_weather(self):
         instances, skipped = build_instances(
-            [crop_record()], [soil_record()], table([]), MODE_SOIL
+            [crop_record()], [soil_record()], weather_of([]), MODE_SOIL
         )
         assert skipped == []
         assert instances.rows.shape == (1, 8)
@@ -253,7 +260,7 @@ class TestBuildInstance:
         days = season()
         del days[275]  # one of week 40's days
         instances, skipped = build_instances(
-            [crop_record()], [soil_record()], table(days), MODE_SOIL_WEATHER
+            [crop_record()], [soil_record()], weather_of(days), MODE_SOIL_WEATHER
         )
         assert len(instances) == 0
         got = skipped[0]
@@ -262,7 +269,7 @@ class TestBuildInstance:
 
     def test_ordinals_encoded(self):
         instances, _ = build_instances(
-            [crop_record()], [soil_record()], table(season()), MODE_SOIL_WEATHER
+            [crop_record()], [soil_record()], weather_of(season()), MODE_SOIL_WEATHER
         )
         row = dict(zip(instances.column_names, instances.rows[0].tolist()))
         assert row["soil_type"] == 1.0
@@ -287,7 +294,7 @@ class TestBuildMatrix:
         crops = [CropRecord(f"Z{i}", 2018, sowing, date(2018, 8, 1), 9.0 + i) for i in range(n)]
         soils = [replace(soil_record(), zone_id=f"Z{i}", p=20.0 + i) for i in range(n)]
         days = [d for i in range(n) for d in season(zone=f"Z{i}", sowing=sowing)]
-        instances, skipped = build_instances(crops, soils, table(days), mode)
+        instances, skipped = build_instances(crops, soils, weather_of(days), mode)
         assert skipped == []
         return instances
 
@@ -353,7 +360,7 @@ class TestBuildInstancesPipeline:
         days = [day(sowing + timedelta(days=i)) for i in range(n_days)]
         crop = CropRecord("Z1", 2018, sowing, sowing + timedelta(days=310), 9.0)
         params = FeatureParams(min_days_per_week=min_days)
-        return build_instances([crop], [soil_record()], table(days), MODE_SOIL_WEATHER, params)
+        return build_instances([crop], [soil_record()], weather_of(days), MODE_SOIL_WEATHER, params)
 
     def test_full_season_builds(self):
         instances, skipped = self.they(280)
@@ -374,7 +381,7 @@ class TestBuildInstancesPipeline:
         crop = CropRecord("Z1", 2018, sowing, sowing + timedelta(days=310), 9.0)
         old = SoilRecord("Z1", 2019, 25.0, 180.0, 60.0, 6.8,
                          "medium", "low", "moderate", "calc")
-        instances, skipped = build_instances([crop], [old], table(days), MODE_SOIL_WEATHER)
+        instances, skipped = build_instances([crop], [old], weather_of(days), MODE_SOIL_WEATHER)
         assert len(instances) == 0
         assert "soil test" in skipped[0].reason
 
@@ -386,8 +393,8 @@ class TestBuildInstancesPipeline:
                 for i in range(280) for zone in ("Z1", "Z2")]
         ours = [d for d in days if d[0] == "Z1"]
         rng.shuffle(days)
-        mixed, _ = build_instances([crop], [soil_record()], table(days), MODE_SOIL_WEATHER)
-        alone, _ = build_instances([crop], [soil_record()], table(ours), MODE_SOIL_WEATHER)
+        mixed, _ = build_instances([crop], [soil_record()], weather_of(days), MODE_SOIL_WEATHER)
+        alone, _ = build_instances([crop], [soil_record()], weather_of(ours), MODE_SOIL_WEATHER)
         assert len(mixed) == 1
         assert mixed.column_names == alone.column_names
         assert np.array_equal(mixed.rows, alone.rows)
@@ -504,7 +511,8 @@ def reference_instances(crops, soils, weather, params):
             reason = f"no soil test at or before {crop.year}"
             skipped.append(InstanceRejection(crop.zone_id, crop.year, reason))
             continue
-        days = weather[weather["zone_id"] == crop.zone_id]
+        code = weather.zones.index(crop.zone_id) if crop.zone_id in weather.zones else -1
+        days = weather.table[weather.table["zone"] == code]
         days = days[np.argsort(days["day"], kind="stable")]
         try:
             weeks = reference_window_weeks(days, crop.sowing_date.toordinal(), params)
@@ -577,7 +585,7 @@ class TestBatchedWindows:
                         precip = 1e308
                     cells.append((zone, self.SOWING + offset, t_min, t_max, precip,
                                   float(rng.uniform(0.0, 25.0)), round(rng.uniform(40, 100), 1)))
-        weather = table(cells)[rng.permutation(len(cells))]
+        weather = weather_of([cells[i] for i in rng.permutation(len(cells))])
         crops = [
             CropRecord(zone, year, date.fromordinal(self.SOWING + int(rng.integers(-4, 5))),
                        date(year, 8, 1), round(float(rng.uniform(5, 12)), 2))
@@ -589,7 +597,7 @@ class TestBatchedWindows:
 
     def season_with(self, precip_by_offset, n_days=21, missing=()):
         sowing = date.fromordinal(self.SOWING)
-        return table([
+        return weather_of([
             day(sowing + timedelta(days=i), precip=precip_by_offset.get(i, 1.0))
             for i in range(n_days) if i not in missing
         ])
@@ -602,7 +610,7 @@ class TestBatchedWindows:
 
     def test_first_overflowing_week_is_named_whichever_sum_overflows(self):
         sowing = date.fromordinal(self.SOWING)
-        weather = table([
+        weather = weather_of([
             day(sowing + timedelta(days=i),
                 precip=1e308 if i in (8, 9) else 1.0,  # week 2's precipitation
                 t_max=1e308 if 14 <= i < 18 else 10.0, t_min=0.0)  # week 3's mean temperature
@@ -619,8 +627,8 @@ class TestBatchedWindows:
         assert [s.reason for s in skipped] == ["missing weeks [2] in growth window"]
 
     def test_eight_rows_in_one_week_is_error(self):
-        weather = self.season_with({})
-        weather = np.concatenate([weather, weather[8:9]])  # a second row for day 8
+        weather = self.season_with({})  # and a second row for day 8:
+        weather = replace(weather, table=np.concatenate([weather.table, weather.table[8:9]]))
         params = FeatureParams(week_start=1, week_end=3)
         with pytest.raises(ValueError, match=r"^week bucket has 8 days, at most 7 allowed$"):
             build_instances([crop_record()], [soil_record()], weather, MODE_SOIL_WEATHER, params)
@@ -659,16 +667,15 @@ class TestMemory:
         if copy == "quoted":  # the csv.reader row loop fills the same table
             (tmp_path / "weather.csv").write_bytes(_quoted(path.read_bytes()))
             path = tmp_path / "weather.csv"
-        (table, log), peak = traced_peak(lambda: parse_weather(path))
-        assert len(table) == n and len(log) == 0
-        # while the file is read, each row's zone code (8 bytes) and one
-        # block's scratch: the block, its padded copy, 8-byte offsets of its
-        # commas and rows, the values of one column (the row loop holds one
-        # row at a time); while duplicates are sought, the (zone, day) key
-        # made in the zone code's place and the sort order (8 bytes a row
+        (weather, log), peak = traced_peak(lambda: parse_weather(path))
+        assert len(weather) == n and len(log) == 0
+        # while the file is read, one block's scratch: the block, its padded
+        # copy, 8-byte offsets of its commas and rows, the values of one
+        # column (the row loop holds one row at a time); while duplicates
+        # are sought, the (zone, day) key and the sort order (8 bytes a row
         # each), with the sort's buffer and one slice of sorted keys in the
         # block's share
-        assert peak < table.nbytes + 3 * 8 * n + 8 * ingest._BLOCK
+        assert peak < weather.table.nbytes + 3 * 8 * n + 8 * ingest._BLOCK
 
     def test_build_instances_holds_one_key_and_one_order(self, default_scale):
         soils, crops, path, n = default_scale
@@ -681,3 +688,18 @@ class TestMemory:
         # matrix (one matrix each), while the gathering passes' few MB fit
         # in the 16 bytes a row the two keys leave
         assert peak < 3 * 8 * n + 2 * matrix
+
+    def test_generate_records_rows_hold_no_object(self):
+        _, weather, _ = generate_records(GenConfig(years={2018: YearSpec(2, 9.4, 1.7)}))
+        assert not WEATHER_DTYPE.hasobject and weather.table.dtype == WEATHER_DTYPE
+
+    def test_generate_records_holds_the_table_and_one_chunk_of_scratch(self):
+        generate_records(GenConfig(years={2018: YearSpec(2, 9.4, 1.7)}))  # one-time caches
+        (_, weather, crops), peak = traced_peak(lambda: generate_records(GenConfig()))
+        # one chunk's daily draws and arithmetic: at most 16 float columns
+        # of _CHUNK_ZONE_YEARS * DAYS_PER_SEASON cells at once (six draws,
+        # the day ordinals, the temperature terms, numpy's temporaries and
+        # the window key); beside them, each zone-year's crop record, soil
+        # tests and window sums, under 1 kB
+        chunk = 16 * 8 * _CHUNK_ZONE_YEARS * DAYS_PER_SEASON
+        assert peak < weather.table.nbytes + chunk + 1024 * len(crops)

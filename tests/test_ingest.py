@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wheatyield import ingest
 from wheatyield.domain import DEFAULT_RANGES, WEATHER_DTYPE, WEATHER_FIELDS, Rejection, SoilRecord
+from test_domain import named_rows, weather_of
 from wheatyield.ingest import (
     SchemaError,
     carry_forward_soil,
@@ -107,7 +108,7 @@ class TestParseWeather:
                      ["Z1,2017-03-02,1.5,9.0,4.2,8.1,82.0"])
         records, log = parse_weather(path)
         assert len(records) == 1 and len(log) == 0
-        assert records.tolist() == [("Z1", date(2017, 3, 2).toordinal(), 1.5, 9.0, 4.2, 8.1, 82.0)]
+        assert named_rows(records) == [("Z1", date(2017, 3, 2).toordinal(), 1.5, 9.0, 4.2, 8.1, 82.0)]
 
     def test_tmin_above_tmax_rejected(self, tmp_path):
         path = write(tmp_path, "weather.csv", WEATHER_HEADER,
@@ -121,7 +122,7 @@ class TestParseWeather:
             "Z1,2017-03-02,2.0,10.0,0.0,9.0,70.0",
         ])
         records, log = parse_weather(path)
-        assert len(records) == 1 and records["t_min"][0] == 1.5
+        assert len(records) == 1 and records.table["t_min"][0] == 1.5
         assert "duplicate" in log.entries[0].reason
 
     def test_bad_date_logged(self, tmp_path):
@@ -305,10 +306,11 @@ def test_parse_weather_matches_row_at_a_time_reference(rows, edits, ends, final_
             with patch.object(ingest, "_BLOCK", block), \
                     patch.object(ingest, "_ROWS", rows_at_a_time), \
                     patch.object(ingest, "_weather_rows", wraps=ingest._weather_rows) as loop:
-                table, log = parse_weather(path)
+                weather, log = parse_weather(path)
             assert loop.called == ('"' in text)
+            table = weather.table
             assert table.dtype == WEATHER_DTYPE
-            assert table[["zone_id", "day"]].tolist() == [r[:2] for r in want_rows]
+            assert [row[:2] for row in named_rows(weather)] == [r[:2] for r in want_rows]
             for k, name in enumerate(WEATHER_FIELDS):  # bit patterns: -0.0 is not 0.0
                 assert table[name].view(np.int64).tolist() == want[:, k].view(np.int64).tolist()
             assert [(e.source, e.line, e.reason) for e in log.entries] == [
@@ -434,15 +436,36 @@ def test_cleaned_output_round_trips_losslessly(tmp_path):
     write_weather_csv(records, out)
     reparsed, log = parse_weather(out)
     assert len(log) == 0
-    assert reparsed.tolist() == records.tolist()
+    assert named_rows(reparsed) == named_rows(records)
 
 
-def reference_write_weather(table, path):
+@pytest.mark.parametrize("zone", ["Z2", '"Z2"'], ids=["tokenizer", "quoted"])
+def test_first_and_last_calendar_days_fit_the_table(tmp_path, zone):
+    """The day and zone fields are 4-byte ints: 0001-01-01 and 9999-12-31
+    keep their ordinals, a repeated last day is still a duplicate, and the
+    table writes back its own input's bytes."""
+    rows = ["Z1,0001-01-01,1.5,9.0,4.2,8.1,82.0", "Z1,9999-12-31,2.0,3.0,0.0,0.5,60.0",
+            f"{zone},0001-01-01,-1.5,0.0,0.0,1.0,90.0", f"{zone},9999-12-31,1.0,2.0,3.0,4.0,5.0"]
+    path = write(tmp_path, "weather.csv", WEATHER_HEADER,
+                 rows + [f"{zone},9999-12-31,0.0,1.0,0.0,0.0,50.0"])
+    weather, log = parse_weather(path)
+    assert weather.zones == ("Z1", "Z2")
+    assert weather.table[["zone", "day"]].tolist() == [(0, 1), (0, 3652059), (1, 1), (1, 3652059)]
+    assert [(e.line, e.reason) for e in log.entries] == [
+        (6, "duplicate weather for zone Z2 on 9999-12-31")]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_weather_csv(weather, first)
+    write_weather_csv(parse_weather(first)[0], second)
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_text().splitlines() == [WEATHER_HEADER] + [r.replace('"', "") for r in rows]
+
+
+def reference_write_weather(weather, path):
     """Row-at-a-time writer: csv.writer quoting, ISO dates, repr of each float."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEATHER_HEADER.split(","))
-        for zone, day, *values in table.tolist():
+        for zone, day, *values in named_rows(weather):
             writer.writerow([zone, date.fromordinal(day).isoformat(), *map(repr, values)])
 
 
@@ -461,13 +484,13 @@ ZONES = ["Z1", 'Z,"2"', "Z 3", "Z\r4", "Z\n5", "", " Z6 ", "Zé"]
                                *[WEATHER_VALUE] * 5), max_size=30))
 @example(rows=[])
 def test_write_weather_csv_matches_row_at_a_time_reference(rows):
-    table = np.array(rows, dtype=WEATHER_DTYPE)
+    weather = weather_of(rows)
     # the default chunk of rows, then one that most tables cross
     for chunk in (ingest._WRITE_ROWS, 7):
         with tempfile.TemporaryDirectory() as tmp, patch.object(ingest, "_WRITE_ROWS", chunk):
             got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-            write_weather_csv(table, got)
-            reference_write_weather(table, want)
+            write_weather_csv(weather, got)
+            reference_write_weather(weather, want)
             assert got.read_bytes() == want.read_bytes()
 
 
@@ -476,27 +499,27 @@ def test_write_weather_csv_memory_follows_output_not_longest_zone_id(tmp_path):
     # its column's longest text would hold 2,000 x 100 kB = 200 MB
     long_id = "Z," + "x" * 100_000
     day = date(2017, 3, 2).toordinal()
-    table = np.array([(long_id if i == 0 else "Z1", day + i % 300, 1.5, -0.0, 2.25, float(i), 0.1)
-                      for i in range(2000)], dtype=WEATHER_DTYPE)
+    weather = weather_of([(long_id if i == 0 else "Z1", day + i % 300, 1.5, -0.0, 2.25,
+                           float(i), 0.1) for i in range(2000)])
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     tracemalloc.start()
     try:
-        write_weather_csv(table, got)
+        write_weather_csv(weather, got)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    reference_write_weather(table, want)
+    reference_write_weather(weather, want)
     assert got.read_bytes() == want.read_bytes()
     assert peak < 10 * got.stat().st_size
 
 
 def test_write_weather_csv_keeps_signed_zeros_apart(tmp_path):
     day = date(2017, 3, 2).toordinal()
-    table = np.array([('Z,"1"', day, -0.0, 0.0, math.inf, -math.inf, math.nan),
-                      ("Z1", day, 0.0, -0.0, 0.0, 0.0, -0.0),
-                      ("Z1", day + 1, -0.0, -0.0, 2.5, 2.5, 0.0)], dtype=WEATHER_DTYPE)
+    weather = weather_of([('Z,"1"', day, -0.0, 0.0, math.inf, -math.inf, math.nan),
+                          ("Z1", day, 0.0, -0.0, 0.0, 0.0, -0.0),
+                          ("Z1", day + 1, -0.0, -0.0, 2.5, 2.5, 0.0)])
     out = tmp_path / "weather.csv"
-    write_weather_csv(table, out)
+    write_weather_csv(weather, out)
     assert out.read_text().splitlines() == [
         WEATHER_HEADER,
         '"Z,""1""",2017-03-02,-0.0,0.0,inf,-inf,nan',

@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 from datetime import date
 
@@ -9,6 +8,7 @@ import pytest
 from wheatyield.domain import WEATHER_DTYPE, CropRecord, validate, weather_rejections
 from wheatyield.features import FeatureParams, soil_feature_values
 from wheatyield.ingest import carry_forward_soil, parse_crop, parse_soil, parse_weather
+from test_domain import named_rows
 from test_features import reference_window_weeks
 from wheatyield import synthgen
 from wheatyield.synthgen import (
@@ -23,7 +23,6 @@ from wheatyield.synthgen import (
     YearSpec,
     gen_dataset,
     gen_sowing,
-    gen_weather,
     gen_yield,
     generate_records,
     _rng,
@@ -40,6 +39,14 @@ SMALL = GenConfig(
 )
 
 
+def gen_weather(zone, year, cfg, seed):
+    """One zone-year's daily weather as ``generate_records`` fills it: a
+    day-sorted ``WEATHER_DTYPE`` array coded by the zone's pool index."""
+    days = np.empty(DAYS_PER_SEASON, WEATHER_DTYPE)
+    synthgen._fill_weather(days, [(zone, year)], cfg, seed)
+    return days
+
+
 def window_totals(days):
     """Degree-day and precipitation totals over one zone-year's window weeks."""
     weekly = reference_window_weeks(days, int(days["day"][0]), FeatureParams()).values()
@@ -52,7 +59,7 @@ class TestGenWeather:
         assert len(days) == DAYS_PER_SEASON
         assert days["day"][0] == gen_sowing(3, 2017, SMALL, seed=5).toordinal()
         assert np.array_equal(np.diff(days["day"]), np.ones(DAYS_PER_SEASON - 1))
-        assert set(days["zone_id"]) == {SMALL.zone_id(3)}
+        assert {SMALL.zone_id(z) for z in days["zone"].tolist()} == {SMALL.zone_id(3)}
 
     def test_records_pass_validation(self):
         assert weather_rejections(gen_weather(1, 2018, SMALL, seed=5)) == {}
@@ -155,7 +162,7 @@ def reference_gen_weather(zone, year, cfg, seed):
     rng = _rng(seed, _WEATHER, zone, year)
     n = DAYS_PER_SEASON
     days = np.zeros(n, WEATHER_DTYPE)
-    days["zone_id"] = sys.intern(cfg.zone_id(zone))
+    days["zone"] = zone
     days["day"] = ordinals = sowing.toordinal() + np.arange(n)
 
     zone_offset = rng.normal(0.0, cfg.t_zone_sd)
@@ -222,7 +229,8 @@ def reference_records(cfg, params):
             jitter = int(_rng(seed, _CROP, zone, year).integers(0, cfg.harvest_jitter_days + 1))
             crops.append(CropRecord(cfg.zone_id(zone), year, date.fromordinal(sowing),
                                     date.fromordinal(sowing + DAYS_PER_SEASON + jitter), y))
-    return soil, np.concatenate(weather), crops, totals
+    weather = [(cfg.zone_id(zone), *rest) for zone, *rest in np.concatenate(weather).tolist()]
+    return soil, weather, crops, totals
 
 
 class TestGenerateRecords:
@@ -250,7 +258,7 @@ class TestGenerateRecords:
         soil, weather, crops = generate_records(cfg, params)
         want_soil, want_weather, want_crops, want_totals = reference_records(cfg, params)
         assert soil == want_soil
-        assert weather.tolist() == want_weather.tolist()
+        assert named_rows(weather) == want_weather
         assert crops == want_crops
         assert np.array(totals).view(np.int64).tolist() == (
             np.array(want_totals).view(np.int64).tolist()
@@ -264,10 +272,10 @@ class TestGenerateRecords:
 
     def test_weather_is_one_table_with_one_str_per_zone(self):
         _, weather, crops = generate_records(SMALL)
-        assert weather.dtype == WEATHER_DTYPE
+        assert weather.table.dtype == WEATHER_DTYPE
         zones = {c.zone_id for c in crops}
-        assert set(weather["zone_id"]) == zones
-        assert len({id(z) for z in weather["zone_id"]}) == len(zones)
+        assert {weather.zones[z] for z in weather.table["zone"].tolist()} == zones
+        assert len(set(weather.zones)) == len(weather.zones)
 
     def test_holds_one_table_and_one_block_of_draws(self):
         # the table, plus one block of zone-years' draws and window sums
@@ -278,7 +286,7 @@ class TestGenerateRecords:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * weather.nbytes
+        assert peak < 1.5 * weather.table.nbytes
 
     def test_single_zone_year_counts(self):
         cfg = GenConfig(years={2018: YearSpec(1, 9.4, 1.7)}, zone_pool=1, seed=1)
@@ -301,7 +309,7 @@ class TestGenerateRecords:
         soil, weather, crops = generate_records(SMALL)
         for rec in soil[:50] + crops[:50]:
             assert validate(rec) is None
-        assert weather_rejections(weather) == {}
+        assert weather_rejections(weather.table) == {}
 
     def test_at_least_one_zone_year_needs_carry_forward(self):
         soil, _, crops = generate_records(SMALL)
@@ -330,7 +338,7 @@ class TestGenDataset:
         parsed_weather, _ = parse_weather(paths["weather"])
         parsed_crops, _ = parse_crop(paths["crop"])
         assert parsed_soil == soil
-        assert parsed_weather.tolist() == weather.tolist()
+        assert named_rows(parsed_weather) == named_rows(weather)
         assert parsed_crops == crops
 
     def test_regeneration_is_byte_identical(self, tmp_path):
