@@ -245,11 +245,15 @@ def _build_years(section_value: str) -> dict[int, YearSpec]:
 def _build_gen(values: dict[str, str], seed: int, yield_bound: Bound) -> GenConfig:
     # an unbounded yield side keeps the generator's own clamp
     clamp = {"yield_lo": yield_bound.lo, "yield_hi": yield_bound.hi}
-    return GenConfig(
-        years=_build_years(values["years"]), seed=seed,
+    kwargs = {
+        "years": _build_years(values["years"]), "seed": seed,
         **{key: value for key, value in clamp.items() if value is not None},
         **_fields_from("synth", values, _SYNTH_TYPES),
-    )
+    }
+    try:
+        return GenConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[synth] {exc}") from None
 
 
 def _build_model_params(kind: str, values: dict[str, str], run_seed: int) -> ModelParams:

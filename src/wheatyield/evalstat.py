@@ -285,15 +285,12 @@ def _fit_grid(tasks: list[tuple], n_jobs: int) -> list[np.ndarray]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # a fit that raises cancels the fits not yet started, and leaving the
+    # pool waits for those still running
     with ProcessPoolExecutor(
         max_workers=width, mp_context=multiprocessing.get_context("spawn")
     ) as pool:
-        futures = [pool.submit(_fit_predict, *task) for task in tasks]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
+        return list(pool.map(_fit_predict, *zip(*tasks)))
 
 
 def run_experiment(instances: DesignMatrix, cfg: ExperimentConfig) -> Report:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boosting import Boosting, RoundGrower
-from .splits import midpoint, presort
+from .splits import can_split, midpoint, presort, reduction
 from .tree import TreeNodes, _Growth
 
 
@@ -96,15 +96,12 @@ class _HistTreeBuilder:
         """Best (feature, bin, gain) by absolute SSE reduction, or None."""
         cum_n = np.cumsum(cnt, axis=1)[:, :-1]
         cum_s = np.cumsum(sums, axis=1)[:, :-1]
-        nr = m - cum_n
         # flat (feature, bin) ids of the usable cuts; both sides hold rows,
         # so the gains below divide by nonzero counts
-        cuts = np.flatnonzero(self.cut_ok & (cum_n >= self.min_leaf) & (nr >= self.min_leaf))
+        cuts = np.flatnonzero(self.cut_ok & (cum_n >= self.min_leaf) & (m - cum_n >= self.min_leaf))
         if cuts.size == 0:
             return None
-        sl = cum_s.take(cuts)
-        sr = total - sl
-        gains = sl * sl / cum_n.take(cuts) + sr * sr / nr.take(cuts) - total * total / m
+        gains = reduction(cum_s.take(cuts), cum_n.take(cuts), total, m)
         i = int(np.argmax(gains))  # the first best in (feature, bin) order
         gain = float(gains[i])
         if not gain > 0.0:
@@ -129,7 +126,7 @@ class _HistTreeBuilder:
             flat, weights=np.repeat(resid[leaf.rows], d), minlength=size
         ).reshape(d, self.width)
         exhausted = self.max_depth is not None and leaf.depth >= self.max_depth
-        if not exhausted and leaf.rows.size >= 2 * self.min_leaf:
+        if not exhausted and can_split(leaf.rows.size, self.min_leaf):
             total = float(resid[leaf.rows].sum())  # canonical node total
             best = self._best(leaf.cnt, leaf.sums, leaf.rows.size, total)
             if best is not None:
@@ -139,10 +136,10 @@ class _HistTreeBuilder:
         growth = _Growth()
         root = _Leaf(growth.add(), root_rows, 0)
         self._fill(growth, root, resid, None)
+        # equal gains pop in node-id order, the order the leaves were made
         heap: list[tuple[float, int, _Leaf]] = []
-        counter = 0
         if root.gain > 0.0:
-            heapq.heappush(heap, (-root.gain, counter, root))
+            heapq.heappush(heap, (-root.gain, root.node_id, root))
         n_leaves = 1
         while heap and n_leaves < self.max_leaves:
             _, _, leaf = heapq.heappop(heap)
@@ -171,8 +168,7 @@ class _HistTreeBuilder:
 
             for child in (left, right):
                 if child.gain > 0.0:
-                    counter += 1
-                    heapq.heappush(heap, (-child.gain, counter, child))
+                    heapq.heappush(heap, (-child.gain, child.node_id, child))
             n_leaves += 1
         return growth.finish()
 

@@ -1,12 +1,14 @@
 """Split search for regression trees.
 
-Both searchers score candidate splits by weighted variance reduction,
-computed from partition sums of the (node-centered) target:
+Every search (the exact scan and extra-trees here, hist-GB in
+``histboost``) lets a node search when :func:`can_split` holds and scores
+a cut by :func:`reduction` of the (node-centered) target's partition sums:
 
-    reduction = (S_l^2/n_l + S_r^2/n_r - S^2/n) / n
+    reduction = S_l^2/n_l + S_r^2/n_r - S^2/n
 
-which equals var(node) - [n_l/n var(left) + n_r/n var(right)]. Ties break
-toward the lowest feature index, then the lowest threshold.
+Over n (exact and extra-trees) it is var(node) - [n_l/n var(left) +
+n_r/n var(right)]; hist-GB ranks by the drop itself. Ties break toward the
+lowest feature index, then the lowest threshold.
 """
 
 from __future__ import annotations
@@ -41,6 +43,17 @@ def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranks = np.empty_like(sorted_ranks)
     np.put_along_axis(ranks, order, sorted_ranks, axis=1)
     return order, ranks
+
+
+def can_split(m: int, min_leaf: int) -> bool:
+    """Whether a node of m rows may search: a cut leaves max(1, min_leaf) rows a side."""
+    return m >= max(2, 2 * min_leaf)
+
+
+def reduction(sl, nl, total, m):
+    """Squared-error drop of cutting m rows (sum total) into nl rows (sum sl) and the rest."""
+    sr = total - sl
+    return sl * sl / nl + sr * sr / (m - nl) - total * total / m
 
 
 def midpoint(lo, hi):
@@ -80,8 +93,7 @@ def _sorted_search(
     sum taken in node-row order: one canonical total shared by every
     feature, so equal partitions found through different features score
     bit-identically and ties resolve by the feature-index rule rather than
-    accumulation noise. The node must hold at least max(2, 2 * min_leaf)
-    rows.
+    accumulation noise. The node must pass :func:`can_split`.
 
     Features are scanned in blocks of about ``_BLOCK_CELLS`` cells, and
     gains are computed only at cuts. Each gain is the same per-cell
@@ -93,8 +105,6 @@ def _sorted_search(
     leaf = max(min_leaf, 1)
     lo, hi = leaf - 1, m - leaf
     nl = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    nr = m - nl
-    base = total * total / m
     codes = ranks.ravel()
     n = ranks.shape[1]
     yc = y - mean
@@ -109,16 +119,7 @@ def _sorted_search(
         if cuts.size == 0:
             continue
         col, cand = np.divmod(cuts, hi - lo)
-        sl = sums.take(cuts + lo * (col + 1))
-        # gains = (sl^2/nl + sr^2/nr - total^2/m) / m, evaluated in place
-        gains = sl * sl
-        gains /= nl.take(cand)
-        sr = total - sl
-        sr *= sr
-        sr /= nr.take(cand)
-        gains += sr
-        gains -= base
-        gains /= m
+        gains = reduction(sums.take(cuts + lo * (col + 1)), nl.take(cand), total, m) / m
         # the first maximum in (column, candidate) order, and a later block
         # only when strictly better: the lowest feature, then threshold, wins
         i = int(np.argmax(gains))
@@ -136,15 +137,16 @@ def _sorted_search(
 def _random_search(
     Xn: np.ndarray,
     yn: np.ndarray,
+    mean: float,
+    total: float,
     feat_ids: np.ndarray,
     min_leaf: int,
     rng: np.random.Generator,
 ) -> Split | None:
     """Extremely-randomized search: one uniform threshold per feature,
-    drawn between the node's min and max, best candidate kept."""
-    m, k = Xn.shape
-    if m < 2 or m < 2 * min_leaf or k == 0:
-        return None
+    drawn between the node's min and max, best candidate kept. mean and
+    total are the node's, as for :func:`_sorted_search`."""
+    m = Xn.shape[0]
     lo = Xn.min(axis=0)
     hi = Xn.max(axis=0)
     usable = hi > lo
@@ -152,23 +154,20 @@ def _random_search(
         return None
     thresholds = rng.uniform(lo, np.where(usable, hi, lo + 1.0))
 
-    yc = yn - yn.mean()
-    total = yc.sum()
     left = Xn <= thresholds[None, :]
     nl = left.sum(axis=0).astype(np.float64)
-    sl = yc @ left
-    nr = m - nl
-    sr = total - sl
-    valid = usable & (nl >= min_leaf) & (nr >= min_leaf)
-    safe_nl = np.maximum(nl, 1.0)
-    safe_nr = np.maximum(nr, 1.0)
-    gains = (sl * sl / safe_nl + sr * sr / safe_nr - total * total / m) / m
-    gains = np.where(valid, gains, -np.inf)
+    sl = (yn - mean) @ left
+    # only draws that leave min_leaf rows on each side are scored
+    valid = np.flatnonzero(usable & (nl >= min_leaf) & (m - nl >= min_leaf))
+    if valid.size == 0:
+        return None
+    gains = reduction(sl[valid], nl[valid], total, m) / m
 
-    col = int(np.argmax(gains))
-    gain = float(gains[col])
+    i = int(np.argmax(gains))
+    gain = float(gains[i])
     if not gain > 0.0:
         return None
+    col = valid[i]
     return Split(int(feat_ids[col]), float(thresholds[col]), gain)
 
 
@@ -198,8 +197,7 @@ def best_split(
         if feature_subset is None
         else np.sort(np.asarray(feature_subset, dtype=np.intp))
     )
-    m = rows.size
-    if m < 2 or m < 2 * min_samples_leaf or feats.size == 0:
+    if not can_split(rows.size, min_samples_leaf) or feats.size == 0:
         return None
     Xr, yr = X[rows], y[rows]
     order, ranks = presort(Xr)

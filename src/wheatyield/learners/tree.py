@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .splits import Split, _random_search, _sorted_search, presort
+from .splits import Split, _random_search, _sorted_search, can_split, presort
 
 _INT32 = np.iinfo(np.int32)
 
@@ -166,7 +166,7 @@ def grow_tree(
 
     def searches(m: int, depth: int) -> bool:
         # the node runs the exact scan, so it needs its sorted rows
-        return not random_thresholds and splittable(depth) and m >= max(2, 2 * min_samples_leaf)
+        return not random_thresholds and splittable(depth) and can_split(m, min_samples_leaf)
 
     root_sorted = ranks = None
     if searches(n, 0):
@@ -182,24 +182,29 @@ def grow_tree(
         growth.value[idx] = float(mean)
 
         split: Split | None = None
+        # every node of 2+ rows draws its features, so later nodes' draws stay put
         if splittable(depth) and rows.size >= 2:
             if subset:
                 feats = np.sort(rng.choice(d, size=max_features, replace=False))
             else:
                 feats = all_feats
-            if random_thresholds:
-                split = _random_search(X[np.ix_(rows, feats)], yn, feats, min_samples_leaf, rng)
-            elif sorted_rows is not None:
-                split = _sorted_search(
-                    X,
-                    ranks,
-                    y,
-                    mean,
-                    (yn - mean).sum(),
-                    sorted_rows[feats] if subset else sorted_rows,
-                    feats,
-                    min_samples_leaf,
-                )
+            if can_split(rows.size, min_samples_leaf):
+                total = (yn - mean).sum()
+                if random_thresholds:
+                    split = _random_search(
+                        X[np.ix_(rows, feats)], yn, mean, total, feats, min_samples_leaf, rng
+                    )
+                else:
+                    split = _sorted_search(
+                        X,
+                        ranks,
+                        y,
+                        mean,
+                        total,
+                        sorted_rows[feats] if subset else sorted_rows,
+                        feats,
+                        min_samples_leaf,
+                    )
 
         if split is not None:
             go_left = X[rows, split.feature] <= split.threshold

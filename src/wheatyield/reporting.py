@@ -107,7 +107,8 @@ def mae_chart_svg(report: Report, title: str = "MAE by model and feature mode") 
     plot_h = height - margin_top - margin_bottom
 
     maes = [v for r in rows for v in (r.mae_soil, r.mae_sw) if v is not None]
-    top = max(maes) * 1.15 if maes else 1.0
+    # every MAE may be 0, as when every yield is the same
+    top = max(maes, default=0.0) * 1.15 or 1.0
 
     def ybar(v: float) -> tuple[float, float]:
         h = plot_h * v / top

@@ -178,6 +178,12 @@ class GenConfig:
         default_factory=lambda: dict(_ORDINAL_PROBS)
     )
 
+    def __post_init__(self):
+        # the yield model divides by each of these
+        for name in ("dd_scale", "ap_scale", "soil_term_std", "score_std"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+
     def with_(self, **kwargs) -> "GenConfig":
         return replace(self, **kwargs)
 

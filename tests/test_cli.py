@@ -299,6 +299,16 @@ class TestCliPipeline:
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("key", ["dd_scale", "ap_scale", "soil_term_std", "score_std"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_synth_scale_is_one_line_diagnostic(self, workdir, key, value):
+        # the yield model divides by each of these keys
+        (workdir / "run.ini").write_text(
+            TINY_CONFIG.replace("zone_pool = 24", f"zone_pool = 24\n{key} = {value}"))
+        result = CliRunner().invoke(main, ["synth", "--config", "run.ini"])
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: [synth] {key} must be > 0\n"
+
     def test_negative_jobs_is_one_line_diagnostic(self, workdir):
         result = CliRunner().invoke(main, ["evaluate", "--config", "run.ini", "--jobs", "-2"])
         assert result.exit_code == 1
@@ -383,6 +393,19 @@ class TestCliPipeline:
         assert (workdir / "out" / "report.txt").exists()
         svg = (workdir / "out" / "mae_chart.svg").read_text()
         assert svg.startswith("<svg") and "decision_tree" in svg
+
+    def test_evaluate_with_every_mae_zero_draws_the_chart(self, workdir):
+        # every yield is clamped to 9, so every model predicts it exactly
+        (workdir / "run.ini").write_text(
+            TINY_CONFIG + "\n[validation]\nyield_min = 9\nyield_max = 9\n")
+        run_cli("synth", "--config", "run.ini")
+        result = run_cli("evaluate", "--config", "run.ini", "--jobs", "1")
+        assert result.exit_code == 0
+        rows = (workdir / "out" / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:3] for row in rows] == [["0", "0"]] * 2
+        assert (workdir / "out" / "compare.csv").exists()
+        svg = (workdir / "out" / "mae_chart.svg").read_text()
+        assert 'height="0.0"' in svg and svg.endswith("</svg>\n")
 
     def test_evaluate_idempotent_bytes(self, workdir):
         run_cli("synth", "--config", "run.ini")

@@ -319,25 +319,16 @@ class TestRunExperiment:
     def test_worker_count_capped_at_number_of_fits(self, monkeypatch):
         widths = []
 
-        class InlinePool:
+        class InlinePool(concurrent.futures.Executor):
             """Records the requested width and runs each task at submit."""
 
             def __init__(self, max_workers, mp_context=None):
                 widths.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def submit(self, fn, *args):
                 future = concurrent.futures.Future()
                 future.set_result(fn(*args))
                 return future
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         serial = run_experiment(self.small_instances(), self.config(n_jobs=1))

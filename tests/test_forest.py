@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from wheatyield.learners import (
     save_model,
     train,
 )
+from wheatyield.learners import splits
 from wheatyield.reporting import mae_chart_svg, report_csv, report_text
 
 
@@ -110,6 +113,46 @@ class TestExtraTrees:
         pred = predict(model, X, names)
         baseline = float(np.mean((y - y.mean()) ** 2))
         assert float(np.mean((y - pred) ** 2)) < 0.5 * baseline
+
+    def test_random_search_keeps_the_first_best_draw_with_full_sides(self):
+        """A node's split is the first maximum of splits.reduction over the
+        drawn thresholds that leave min_leaf rows on each side. The 32 rows
+        hold integer targets, so every sum is exact whatever order BLAS adds
+        in, and the gains compare bit for bit."""
+        m, outcomes = 32, set()
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            k, min_leaf = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            X = rng.integers(0, 4, size=(m, k)).astype(np.float64)
+            if rng.random() < 0.3:
+                X[:, -1] = X[:, 0]  # the same column twice: equal gains
+            if rng.random() < 0.2:
+                X[:, rng.integers(k)] = 2.0
+            y = rng.integers(-20, 21, size=m).astype(np.float64)
+            feats = np.sort(rng.choice(40, size=k, replace=False))
+            mean = y.mean()
+            total = (y - mean).sum()
+            draws = copy.deepcopy(rng)
+            got = splits._random_search(X, y, mean, total, feats, min_leaf, rng)
+
+            want, best = None, 0.0
+            lo, hi = X.min(axis=0), X.max(axis=0)
+            if (hi > lo).any():
+                thresholds = draws.uniform(lo, np.where(hi > lo, hi, lo + 1.0))
+                for j in range(k):
+                    left = X[:, j] <= thresholds[j]
+                    nl = int(left.sum())
+                    if min(nl, m - nl) < min_leaf:
+                        continue
+                    gain = splits.reduction((y - mean)[left].sum(), nl, total, m) / m
+                    assert gain == pytest.approx(
+                        np.var(y) - (nl * np.var(y[left]) + (m - nl) * np.var(y[~left])) / m)
+                    if gain > best:
+                        want, best = (int(feats[j]), float(thresholds[j]), gain), gain
+            assert (got and (got.feature, got.threshold, got.gain)) == want
+            assert rng.random() == draws.random()  # the search drew what the oracle drew
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("cls", [RandomForest, ExtraTrees])
